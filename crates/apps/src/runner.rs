@@ -176,44 +176,98 @@ pub enum ExecutionPath {
     Offline,
 }
 
-fn drive<A: Application>(
-    engine: &Engine,
-    app: &Arc<A>,
-    store: &Arc<StateStore>,
-    payloads: Vec<A::Payload>,
-    scheme: &Scheme,
+/// What to do with one benchmark application once its concrete payload
+/// type is known: [`visit_app`] builds the application, its store and its
+/// input from the run options and hands them to the visitor.
+trait AppVisitor {
+    type Out;
+    fn visit<A>(self, app: A, store: Arc<StateStore>, payloads: Vec<A::Payload>) -> Self::Out
+    where
+        A: Application,
+        A::Payload: WalPayload;
+}
+
+/// The one place the four applications are matched against their types.
+fn visit_app<V: AppVisitor>(app: AppKind, options: &RunOptions, visitor: V) -> V::Out {
+    let spec = &options.spec;
+    match app {
+        AppKind::Gs => visitor.visit(
+            gs::GrepSum {
+                with_summation: options.gs_with_summation,
+            },
+            gs::build_store(spec),
+            gs::generate(spec),
+        ),
+        AppKind::Sl => visitor.visit(
+            sl::StreamingLedger,
+            sl::build_store(spec),
+            sl::generate(spec),
+        ),
+        AppKind::Ob => visitor.visit(ob::OnlineBidding, ob::build_store(spec), ob::generate(spec)),
+        AppKind::Tp => visitor.visit(
+            tp::TollProcessing,
+            tp::build_store(spec),
+            tp::generate(spec),
+        ),
+    }
+}
+
+/// Run the whole input under `scheme` on `path`, returning the report and
+/// the final store snapshot.
+struct Drive<'a> {
+    engine: &'a Engine,
+    scheme: &'a Scheme,
     path: ExecutionPath,
-) -> RunReport {
-    match path {
-        ExecutionPath::Pipelined => engine.run(app, store, payloads, scheme),
-        ExecutionPath::Offline => engine.run_offline(app, store, payloads, scheme),
+}
+
+impl AppVisitor for Drive<'_> {
+    type Out = (RunReport, StoreSnapshot);
+
+    fn visit<A: Application>(
+        self,
+        app: A,
+        store: Arc<StateStore>,
+        payloads: Vec<A::Payload>,
+    ) -> Self::Out {
+        let app = Arc::new(app);
+        let report = match self.path {
+            ExecutionPath::Pipelined => self.engine.run(&app, &store, payloads, self.scheme),
+            ExecutionPath::Offline => self.engine.run_offline(&app, &store, payloads, self.scheme),
+        };
+        (report, StoreSnapshot::capture(&store))
     }
 }
 
 /// Drive a durable (write-ahead-logged) session over `dir`: recover whatever
 /// the directory already holds, then push `payloads[ingested..until]`.
-fn drive_durable<A: Application>(
-    engine: &Engine,
-    app: &Arc<A>,
-    store: &Arc<StateStore>,
-    payloads: Vec<A::Payload>,
-    scheme: &Scheme,
-    dir: &Path,
+struct DriveDurable<'a> {
+    engine: &'a Engine,
+    scheme: &'a Scheme,
+    dir: &'a Path,
     until: Option<usize>,
-) -> StateResult<RunReport>
-where
-    A::Payload: WalPayload,
-{
-    let mut session = engine
-        .session_builder(app, store, scheme)
-        .durable(dir)
-        .open()?;
-    let start = session.ingested() as usize;
-    let stop = until.unwrap_or(payloads.len()).min(payloads.len());
-    for payload in payloads.into_iter().take(stop).skip(start) {
-        session.push(payload)?;
+}
+
+impl AppVisitor for DriveDurable<'_> {
+    type Out = StateResult<(RunReport, StoreSnapshot)>;
+
+    fn visit<A>(self, app: A, store: Arc<StateStore>, payloads: Vec<A::Payload>) -> Self::Out
+    where
+        A: Application,
+        A::Payload: WalPayload,
+    {
+        let mut session = self
+            .engine
+            .session_builder(&Arc::new(app), &store, self.scheme)
+            .durable(self.dir)
+            .open()?;
+        let start = session.ingested() as usize;
+        let stop = self.until.unwrap_or(payloads.len()).min(payloads.len());
+        for payload in payloads.into_iter().take(stop).skip(start) {
+            session.push(payload)?;
+        }
+        let report = session.report()?;
+        Ok((report, StoreSnapshot::capture(&store)))
     }
-    session.report()
 }
 
 /// Run one (application, scheme) combination and return the report.
@@ -259,69 +313,18 @@ pub fn run_benchmark_durable(
     dir: &Path,
     until: Option<usize>,
 ) -> StateResult<(RunReport, StoreSnapshot)> {
-    let engine_config = options.engine.shards(options.spec.shards as usize);
-    let engine = Engine::new(engine_config);
+    let engine = Engine::new(options.engine.shards(options.spec.shards as usize));
     let scheme = scheme.build(options.pat_partitions);
-    let result = match app {
-        AppKind::Gs => {
-            let store = gs::build_store(&options.spec);
-            let application = Arc::new(gs::GrepSum {
-                with_summation: options.gs_with_summation,
-            });
-            let report = drive_durable(
-                &engine,
-                &application,
-                &store,
-                gs::generate(&options.spec),
-                &scheme,
-                dir,
-                until,
-            )?;
-            Ok((report, StoreSnapshot::capture(&store)))
-        }
-        AppKind::Sl => {
-            let store = sl::build_store(&options.spec);
-            let application = Arc::new(sl::StreamingLedger);
-            let report = drive_durable(
-                &engine,
-                &application,
-                &store,
-                sl::generate(&options.spec),
-                &scheme,
-                dir,
-                until,
-            )?;
-            Ok((report, StoreSnapshot::capture(&store)))
-        }
-        AppKind::Ob => {
-            let store = ob::build_store(&options.spec);
-            let application = Arc::new(ob::OnlineBidding);
-            let report = drive_durable(
-                &engine,
-                &application,
-                &store,
-                ob::generate(&options.spec),
-                &scheme,
-                dir,
-                until,
-            )?;
-            Ok((report, StoreSnapshot::capture(&store)))
-        }
-        AppKind::Tp => {
-            let store = tp::build_store(&options.spec);
-            let application = Arc::new(tp::TollProcessing);
-            let report = drive_durable(
-                &engine,
-                &application,
-                &store,
-                tp::generate(&options.spec),
-                &scheme,
-                dir,
-                until,
-            )?;
-            Ok((report, StoreSnapshot::capture(&store)))
-        }
-    };
+    let result = visit_app(
+        app,
+        options,
+        DriveDurable {
+            engine: &engine,
+            scheme: &scheme,
+            dir,
+            until,
+        },
+    );
     maybe_dump_metrics(&engine, app);
     result
 }
@@ -353,6 +356,43 @@ impl ConcurrentRun {
     }
 }
 
+/// One fully prepared session run, waiting for the timed window.
+type PreparedSession = Box<dyn FnOnce(&Engine) -> RunReport + Send>;
+
+/// Prepare a labelled plain session that pushes the whole input from the
+/// thread that eventually calls it.
+struct SessionThread {
+    scheme: Scheme,
+    label: &'static str,
+}
+
+impl AppVisitor for SessionThread {
+    type Out = PreparedSession;
+
+    fn visit<A: Application>(
+        self,
+        app: A,
+        store: Arc<StateStore>,
+        payloads: Vec<A::Payload>,
+    ) -> Self::Out {
+        Box::new(move |engine: &Engine| {
+            let mut session = engine
+                .session_builder(&Arc::new(app), &store, &self.scheme)
+                .label(self.label)
+                .open()
+                .expect("plain sessions cannot fail to open");
+            for payload in payloads {
+                session
+                    .push(payload)
+                    .expect("plain sessions cannot fail to push");
+            }
+            session
+                .report()
+                .expect("plain sessions cannot fail to report")
+        })
+    }
+}
+
 /// Run one session **per entry of `apps`, concurrently, on one engine**:
 /// each session gets its own store, workload and scheme instance, is pushed
 /// from its own thread, and is labelled with its app, so the reports stay
@@ -364,35 +404,7 @@ pub fn run_benchmark_concurrent(
     scheme: SchemeKind,
     options: &RunOptions,
 ) -> ConcurrentRun {
-    fn session_thread<A: Application>(
-        engine: &Engine,
-        application: A,
-        store: Arc<StateStore>,
-        payloads: Vec<A::Payload>,
-        scheme: &Scheme,
-        label: &str,
-    ) -> RunReport {
-        let app = Arc::new(application);
-        let mut session = engine
-            .session_builder(&app, &store, scheme)
-            .label(label)
-            .open()
-            .expect("plain sessions cannot fail to open");
-        for payload in payloads {
-            session
-                .push(payload)
-                .expect("plain sessions cannot fail to push");
-        }
-        session
-            .report()
-            .expect("plain sessions cannot fail to report")
-    }
-
-    /// One fully prepared session run, waiting for the timed window.
-    type PreparedSession = Box<dyn FnOnce(&Engine) -> RunReport + Send>;
-
-    let engine_config = options.engine.shards(options.spec.shards as usize);
-    let engine = Engine::new(engine_config);
+    let engine = Engine::new(options.engine.shards(options.spec.shards as usize));
     // Build every session's store, workload and scheme instance (eager
     // schemes carry per-run counters that concurrent sessions must not
     // share) *before* the clock starts: the shared window must measure
@@ -401,41 +413,11 @@ pub fn run_benchmark_concurrent(
     let jobs: Vec<PreparedSession> = apps
         .iter()
         .map(|&app| {
-            let scheme = scheme.build(options.pat_partitions);
-            let label = app.label();
-            match app {
-                AppKind::Gs => {
-                    let application = gs::GrepSum {
-                        with_summation: options.gs_with_summation,
-                    };
-                    let store = gs::build_store(&options.spec);
-                    let payloads = gs::generate(&options.spec);
-                    Box::new(move |engine: &Engine| {
-                        session_thread(engine, application, store, payloads, &scheme, label)
-                    }) as PreparedSession
-                }
-                AppKind::Sl => {
-                    let store = sl::build_store(&options.spec);
-                    let payloads = sl::generate(&options.spec);
-                    Box::new(move |engine: &Engine| {
-                        session_thread(engine, sl::StreamingLedger, store, payloads, &scheme, label)
-                    })
-                }
-                AppKind::Ob => {
-                    let store = ob::build_store(&options.spec);
-                    let payloads = ob::generate(&options.spec);
-                    Box::new(move |engine: &Engine| {
-                        session_thread(engine, ob::OnlineBidding, store, payloads, &scheme, label)
-                    })
-                }
-                AppKind::Tp => {
-                    let store = tp::build_store(&options.spec);
-                    let payloads = tp::generate(&options.spec);
-                    Box::new(move |engine: &Engine| {
-                        session_thread(engine, tp::TollProcessing, store, payloads, &scheme, label)
-                    })
-                }
-            }
+            let visitor = SessionThread {
+                scheme: scheme.build(options.pat_partitions),
+                label: app.label(),
+            };
+            visit_app(app, options, visitor)
         })
         .collect();
     let started = std::time::Instant::now();
@@ -464,65 +446,17 @@ pub fn run_benchmark_with_snapshot(
     options: &RunOptions,
     path: ExecutionPath,
 ) -> (RunReport, StoreSnapshot) {
-    let engine_config = options.engine.shards(options.spec.shards as usize);
-    let engine = Engine::new(engine_config);
+    let engine = Engine::new(options.engine.shards(options.spec.shards as usize));
     let scheme = scheme.build(options.pat_partitions);
-    let result = match app {
-        AppKind::Gs => {
-            let store = gs::build_store(&options.spec);
-            let application = Arc::new(gs::GrepSum {
-                with_summation: options.gs_with_summation,
-            });
-            let report = drive(
-                &engine,
-                &application,
-                &store,
-                gs::generate(&options.spec),
-                &scheme,
-                path,
-            );
-            (report, StoreSnapshot::capture(&store))
-        }
-        AppKind::Sl => {
-            let store = sl::build_store(&options.spec);
-            let application = Arc::new(sl::StreamingLedger);
-            let report = drive(
-                &engine,
-                &application,
-                &store,
-                sl::generate(&options.spec),
-                &scheme,
-                path,
-            );
-            (report, StoreSnapshot::capture(&store))
-        }
-        AppKind::Ob => {
-            let store = ob::build_store(&options.spec);
-            let application = Arc::new(ob::OnlineBidding);
-            let report = drive(
-                &engine,
-                &application,
-                &store,
-                ob::generate(&options.spec),
-                &scheme,
-                path,
-            );
-            (report, StoreSnapshot::capture(&store))
-        }
-        AppKind::Tp => {
-            let store = tp::build_store(&options.spec);
-            let application = Arc::new(tp::TollProcessing);
-            let report = drive(
-                &engine,
-                &application,
-                &store,
-                tp::generate(&options.spec),
-                &scheme,
-                path,
-            );
-            (report, StoreSnapshot::capture(&store))
-        }
-    };
+    let result = visit_app(
+        app,
+        options,
+        Drive {
+            engine: &engine,
+            scheme: &scheme,
+            path,
+        },
+    );
     maybe_dump_metrics(&engine, app);
     result
 }

@@ -1,8 +1,7 @@
 //! The unified session builder: one entry point for every session mode.
 //!
-//! [`Engine::session_builder`] replaces the previous fan of ad-hoc entry
-//! points (`Engine::session`, `Engine::durable_session`, `Engine::recover`)
-//! with a single [`SessionBuilder`] that composes orthogonal options —
+//! [`Engine::session_builder`] is the one way to open a session: a single
+//! [`SessionBuilder`] composes orthogonal options —
 //! [`SessionBuilder::durable`], [`SessionBuilder::recover`],
 //! [`SessionBuilder::pipeline_depth`],
 //! [`SessionBuilder::adaptive_punctuation`], [`SessionBuilder::label`] —
@@ -55,7 +54,7 @@ use tstream_state::{StateError, StateResult, StateStore};
 use tstream_txn::Application;
 
 use crate::adaptive::AdaptiveConfig;
-use crate::engine::{Durability, Engine, Scheme};
+use crate::engine::{Engine, Scheme};
 use crate::session::{DurableParts, Session, SessionOptions};
 
 /// Durability directories with a live durable session anywhere in this
@@ -302,7 +301,6 @@ impl<'e, A: Application> SessionBuilder<'e, A> {
                 &self.app,
                 &self.store,
                 &self.scheme,
-                self.engine.legacy_durability(),
                 None,
                 options,
             )),
@@ -359,15 +357,13 @@ fn open_durable<'e, A: Application>(
     // Full group-commit windows flush on the engine's spawn-once WAL-writer
     // thread instead of the ingestion thread.
     log.attach_group_executor(Arc::new(engine.pool().wal_writer(engine.obs())));
-    let log = Arc::new(log);
     let mut session = Session::open(
         engine,
         app,
         store,
         scheme,
-        Durability::Wal(log.clone()),
         Some(DurableParts {
-            log,
+            log: Arc::new(log),
             append: hooks.append,
             _dir_guard: dir_guard,
         }),

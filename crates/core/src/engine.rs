@@ -27,17 +27,18 @@
 //! per-session backpressure.  [`Engine::run`] streams a pre-collected input
 //! through a session and is what the figure harnesses use.
 //! [`Engine::run_offline`] keeps the seed's pre-materialized, scope-per-run
-//! behaviour as a differential baseline — both paths execute the same
-//! per-batch step functions, so they must produce identical results.
+//! behaviour as a differential baseline — both paths admit and execute
+//! batches through the same `RunContext::admit` / `RunContext::step`, so
+//! they must produce identical results.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use parking_lot::Mutex;
 use tstream_obs::{clock, MetricsSnapshot, Obs, TraceEvent, TraceKind, NO_BATCH};
 use tstream_recovery::{DurableLog, WalStats};
-use tstream_state::checkpoint::{CheckpointManifest, Checkpointer};
+use tstream_state::checkpoint::CheckpointManifest;
 use tstream_state::{ShardRouter, StateStore, TableId, MAX_SHARDS};
 use tstream_stream::barrier::CyclicBarrier;
 use tstream_stream::event::Event;
@@ -47,13 +48,15 @@ use tstream_stream::partition::EventRouting;
 use tstream_stream::sink::{LatencyStats, Sink};
 use tstream_stream::source::{BatchBuilder, SourceBatch};
 use tstream_txn::exec::{execute_transaction_body, ValueMode};
-use tstream_txn::{Application, EagerScheme, ExecEnv, StateTransaction, TxnBuilder, TxnDescriptor};
+use tstream_txn::{
+    Application, BlotterHandle, EagerScheme, ExecEnv, StateTransaction, TxnBuilder, TxnDescriptor,
+    TxnOutcome,
+};
 
 use crate::chains::ChainPoolSet;
 use crate::config::EngineConfig;
 use crate::restructure::{self, BatchAbortLog, ChainStats, RestructureContext};
 use crate::runtime::ExecutorPool;
-use crate::session::Session;
 
 /// Which execution scheme a run uses.
 #[derive(Clone)]
@@ -78,22 +81,6 @@ impl std::fmt::Debug for Scheme {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "Scheme({})", self.name())
     }
-}
-
-/// How a run persists state at punctuation boundaries.
-#[derive(Debug, Clone, Default)]
-pub(crate) enum Durability {
-    /// No durability: nothing is written to disk.
-    #[default]
-    None,
-    /// Legacy snapshot-only durability ([`Engine::with_checkpointer`]): the
-    /// committed state is replicated to disk every batch, but inputs are not
-    /// logged, so a crash loses everything after the last checkpoint.
-    Snapshot(Arc<Checkpointer>),
-    /// Full write-ahead durability (durable sessions): inputs are WAL-logged
-    /// before routing, epoch-stamped checkpoints truncate covered segments,
-    /// and [`Engine::recover`] restores + replays after a crash.
-    Wal(Arc<DurableLog>),
 }
 
 /// Result of one engine run (or one finished streaming session).
@@ -148,9 +135,8 @@ pub struct RunReport {
     /// of the run (TStream only; all zeros under eager schemes).  Length
     /// equals the engine's `num_shards`.
     pub per_shard_chains: Vec<u64>,
-    /// Number of durability checkpoints written during the run (zero unless a
-    /// [`Checkpointer`] was attached to the engine or the run was a durable
-    /// session).
+    /// Number of durability checkpoints written during the run (zero unless
+    /// the run was a durable session).
     pub checkpoints: u64,
     /// Bytes appended to the write-ahead input log during the run (zero for
     /// non-durable runs) — the storage side of the durability tax.
@@ -210,9 +196,13 @@ pub(crate) struct ExecutorState {
 /// per executor plus the transaction descriptors of the whole batch.
 pub(crate) type EngineBatch<P> = SourceBatch<P, TxnDescriptor>;
 
+/// Events whose post-processing a batch body postponed, each with the
+/// blotter its transaction's outcome lands in.
+type Postponed<'b, P> = Vec<(&'b Event<P>, BlotterHandle)>;
+
 /// Everything a run shares between its executors: the immutable run
 /// parameters and the cross-executor synchronisation state.  Built once per
-/// run / session; the per-batch step functions below borrow it.
+/// run / session; [`RunContext::step`] borrows it for every batch.
 pub(crate) struct RunContext<A: Application> {
     pub(crate) app: Arc<A>,
     pub(crate) store: Arc<StateStore>,
@@ -224,7 +214,13 @@ pub(crate) struct RunContext<A: Application> {
     pools: ChainPoolSet,
     shard_chains: Mutex<Vec<u64>>,
     abort_log: BatchAbortLog,
-    durability: Durability,
+    /// The write-ahead log of a durable session (`None`: nothing is written
+    /// to disk).  Inputs are logged before routing, the leader stamps
+    /// epoch-numbered checkpoints at batch boundaries and truncates the
+    /// segments they cover, and reopening the directory with
+    /// `session_builder(..).durable(dir).recover()` restores + replays after
+    /// a crash.
+    durability: Option<Arc<DurableLog>>,
     /// The engine's observability state: metrics hub, flight recorder and
     /// post-mortem latch, shared by every run and session of the engine.
     pub(crate) obs: Arc<Obs>,
@@ -232,8 +228,8 @@ pub(crate) struct RunContext<A: Application> {
     /// only the delta in (the log's own counters are cumulative).
     wal_seen: Mutex<WalSeen>,
     /// Cumulative progress of this run, published by every executor before
-    /// the durable-checkpoint barrier so the leader can stamp manifests with
-    /// exact counts (only maintained under [`Durability::Wal`]).
+    /// the closing barrier round so the leader can stamp manifests with
+    /// exact counts (only maintained for durable sessions).
     live_events: AtomicU64,
     live_committed: AtomicU64,
     live_rejected: AtomicU64,
@@ -248,7 +244,7 @@ impl<A: Application> RunContext<A> {
         app: &Arc<A>,
         store: &Arc<StateStore>,
         scheme: &Scheme,
-        durability: Durability,
+        durability: Option<Arc<DurableLog>>,
         label: Option<String>,
     ) -> Self {
         let config = engine.config;
@@ -296,6 +292,28 @@ impl<A: Application> RunContext<A> {
         self.barrier.poison();
     }
 
+    /// Admit one formed batch to execution (on the ingestion side, before
+    /// any executor sees it): classify it, count it, trace it.
+    ///
+    /// The classification is routing-time conflict detection (TStream
+    /// only): a batch whose read/write sets are pairwise disjoint takes the
+    /// restructuring-free fast path on the executors.
+    pub(crate) fn admit(&self, batch: &mut EngineBatch<A::Payload>, scratch: &mut ConflictScratch) {
+        if matches!(self.scheme, Scheme::TStream) {
+            batch.conflict_free = batch_is_conflict_free(&batch.descriptors, scratch);
+        }
+        self.obs
+            .hub()
+            .batch_ingested(batch.events() as u64, batch.replayed);
+        self.obs.trace_ingest(
+            batch.punctuation.seq,
+            TraceKind::BatchFormed {
+                events: batch.events().min(u32::MAX as usize) as u32,
+                replayed: batch.replayed,
+            },
+        );
+    }
+
     /// One barrier round, elided for single-executor runs: with one
     /// executor there is nobody to rendezvous with, every wait would return
     /// leader immediately, and the `SeqCst` round-trips per batch are pure
@@ -320,10 +338,16 @@ impl<A: Application> RunContext<A> {
         leader
     }
 
-    /// Process one batch on executor `index`, advancing its accumulators.
-    /// Every executor of the run must call this for every batch, in the same
-    /// order — the internal barriers keep them in lockstep, exactly like the
-    /// per-run loops of the seed engine did.
+    /// Process one batch on executor `index`, advancing its accumulators:
+    /// run the body of the batch's execution path, close the batch, then
+    /// post-process whatever the body postponed.  Every executor of the run
+    /// must call this for every batch, in the same order — the barrier
+    /// rounds keep them in lockstep.
+    ///
+    /// Barrier rounds per batch (zero with a single executor): eager 3;
+    /// restructured 5, plus 1 when the batch replays serially, plus 1 more
+    /// when it replays in a durable session; fast 0, or 1 in a durable
+    /// session.  `tests/observability.rs` pins these numbers.
     pub(crate) fn step(
         &self,
         index: usize,
@@ -335,15 +359,125 @@ impl<A: Application> RunContext<A> {
             layout: self.layout,
             numa: self.config.numa,
         };
+        let seq = batch.punctuation.seq;
         if index == 0 {
             self.obs.hub().batch_executed();
-            self.obs
-                .trace_exec(index, batch.punctuation.seq, TraceKind::BatchInjected);
+            self.obs.trace_exec(index, seq, TraceKind::BatchInjected);
         }
-        match &self.scheme {
-            Scheme::Eager(scheme) => self.eager_step(scheme, index, env, batch, state),
-            Scheme::TStream => self.tstream_step(index, env, batch, state),
+        let committed_before = state.committed;
+        let rejected_before = state.rejected;
+
+        // ---- Run: the body performs this executor's state accesses.  The
+        // eager and fast bodies finish every event as they go; the
+        // restructured body hands its events back for the tail below.
+        let path = (&self.scheme, batch.conflict_free);
+        let postponed = match path {
+            (Scheme::Eager(scheme), _) => {
+                self.eager_step(scheme, index, env, batch, state);
+                Vec::new()
+            }
+            (Scheme::TStream, true) => {
+                self.tstream_fast_step(index, env, batch, state);
+                Vec::new()
+            }
+            (Scheme::TStream, false) => self.tstream_step(index, env, batch, state),
+        };
+
+        // ---- Close.  A durable session first publishes this executor's
+        // outcome counts (final by now, see `tstream_step`) so the leader
+        // can stamp the checkpoint manifest with exact cumulative counts.
+        if self.durability.is_some() {
+            let mut committed = state.committed - committed_before;
+            let mut rejected = state.rejected - rejected_before;
+            for (_, blotter) in &postponed {
+                if blotter.is_aborted() {
+                    rejected += 1;
+                } else {
+                    committed += 1;
+                }
+            }
+            self.live_committed.fetch_add(committed, Ordering::Relaxed);
+            self.live_rejected.fetch_add(rejected, Ordering::Relaxed);
         }
+        // The closing round exists for the leader's work in it: the path's
+        // end-of-batch work, then the durable epilogue, both of which need
+        // every executor's writes in place.  A plain conflict-free batch has
+        // neither and synchronises zero times.  The next batch's state
+        // accesses cannot start before the leader reaches its first round.
+        let leader_has_work = !matches!(path, (Scheme::TStream, true)) || self.durability.is_some();
+        if leader_has_work && self.barrier_wait(index, seq, state) {
+            match path {
+                // E.g. MVLK's version garbage collection.
+                (Scheme::Eager(scheme), _) => scheme.end_batch(&self.store),
+                (Scheme::TStream, true) => {}
+                (Scheme::TStream, false) => {
+                    let recycled: u64 = self
+                        .pools
+                        .chains_per_shard()
+                        .iter()
+                        .map(|&c| c as u64)
+                        .sum();
+                    self.pools.clear_all();
+                    self.obs.hub().chains_recycled(recycled);
+                    self.abort_log.clear_batch();
+                }
+            }
+            self.wal_leader_checkpoint(batch, state);
+        }
+
+        // ---- Tail: back in compute mode, post-process the postponed events
+        // (the other executors do so while the leader is still closing).
+        let t_post = clock::now();
+        for (event, blotter) in postponed {
+            self.finish_event(batch, event, &blotter, state);
+        }
+        state.compute_time += t_post.elapsed();
+        self.publish_results(
+            index,
+            seq,
+            state.committed - committed_before,
+            state.rejected - rejected_before,
+        );
+    }
+
+    /// Post-process one event whose outcome is final and record it with the
+    /// executor's counters and sink.  Replayed batches count but are not
+    /// latency-sampled: their arrival instant is the re-ingestion time, not
+    /// the original arrival.
+    fn finish_event(
+        &self,
+        batch: &EngineBatch<A::Payload>,
+        event: &Event<A::Payload>,
+        blotter: &BlotterHandle,
+        state: &mut ExecutorState,
+    ) {
+        let _ = self.app.post_process(&event.payload, blotter);
+        if blotter.is_aborted() {
+            state.rejected += 1;
+            state.sink.reject();
+        } else {
+            state.committed += 1;
+            if batch.replayed {
+                state.sink.emit_unsampled();
+            } else {
+                state.sink.emit(event.arrival);
+            }
+        }
+    }
+
+    /// Record one executor's per-batch committed/rejected deltas with the
+    /// metrics hub and the flight recorder.
+    #[inline]
+    fn publish_results(&self, index: usize, batch: u64, committed: u64, rejected: u64) {
+        self.obs.hub().batch_published(committed, rejected);
+        self.obs.trace_exec(
+            index,
+            batch,
+            TraceKind::Published {
+                committed: committed.min(u32::MAX as u64) as u32,
+                rejected: rejected.min(u32::MAX as u64) as u32,
+            },
+        );
     }
 
     /// Aggregate the per-executor accumulators into the run's report.
@@ -391,30 +525,29 @@ impl<A: Application> RunContext<A> {
             chain_stats,
             per_shard_chains: self.shard_chains.lock().clone(),
             checkpoints,
-            wal_bytes: match &self.durability {
-                Durability::Wal(log) => {
-                    // Catch the tail of WAL activity (final seals, offline
-                    // window syncs) that landed after the last leader drain.
-                    self.drain_wal_activity(log);
-                    log.wal_bytes()
-                }
-                _ => 0,
-            },
+            wal_bytes: self.durability.as_ref().map_or(0, |log| {
+                // Catch the tail of WAL activity (final seals, offline
+                // window syncs) that landed after the last leader drain.
+                self.drain_wal_activity(log);
+                log.wal_bytes()
+            }),
             fast_path_batches,
         }
     }
 
-    /// Durable end-of-batch bookkeeping, run by the leader once every
-    /// executor has published its per-batch result deltas: account the
+    /// The durable epilogue of a batch, run by the leader inside the closing
+    /// round (every executor has published its outcome counts): account the
     /// batch's events, and — on the configured cadence — write an
-    /// epoch-stamped checkpoint and truncate the WAL segments it covers.
+    /// epoch-stamped checkpoint and truncate the WAL segments it covers
+    /// (Section IV-D).  Nothing to do for a plain run.
     fn wal_leader_checkpoint(&self, batch: &EngineBatch<A::Payload>, state: &mut ExecutorState) {
-        let Durability::Wal(log) = &self.durability else {
+        let Some(log) = &self.durability else {
             return;
         };
         self.live_events
             .fetch_add(batch.events() as u64, Ordering::Relaxed);
-        let epoch = log.epoch_base() + batch.punctuation.seq;
+        let seq = batch.punctuation.seq;
+        let epoch = log.epoch_base() + seq;
         // Replication hook: when a shipper (or a divergence check) asked for
         // epoch roots, hash the quiescent store once per batch — for *every*
         // epoch, not just checkpointed ones — so the standby can cross-check
@@ -434,11 +567,21 @@ impl<A: Application> RunContext<A> {
             committed: base.committed + self.live_committed.load(Ordering::Relaxed),
             rejected: base.rejected + self.live_rejected.load(Ordering::Relaxed),
         };
-        if log.checkpoint(&self.store, manifest).is_ok() {
-            state.checkpoints += 1;
-            self.obs.hub().checkpoint();
-            self.obs
-                .trace_wal(batch.punctuation.seq, TraceKind::Checkpointed { epoch });
+        match log.checkpoint(&self.store, manifest) {
+            Ok(_) => {
+                state.checkpoints += 1;
+                self.obs.hub().checkpoint();
+                self.obs.trace_wal(seq, TraceKind::Checkpointed { epoch });
+            }
+            // Nothing was truncated, so the batch stays covered by the WAL
+            // and the session keeps committing; but a directory that stops
+            // accepting checkpoints grows its log without bound, so the
+            // operator must be able to see it.
+            Err(_) => {
+                self.obs.hub().checkpoint_failed();
+                self.obs
+                    .trace_wal(seq, TraceKind::CheckpointFailed { epoch });
+            }
         }
         self.drain_wal_activity(log);
         state.breakdown.charge(Component::Others, t.elapsed());
@@ -478,38 +621,9 @@ impl<A: Application> RunContext<A> {
         }
     }
 
-    /// Publish one executor's per-batch result deltas for manifest stamping.
-    fn publish_deltas(&self, committed: u64, rejected: u64) {
-        self.live_committed.fetch_add(committed, Ordering::Relaxed);
-        self.live_rejected.fetch_add(rejected, Ordering::Relaxed);
-    }
-
-    /// Count and publish the outcome deltas of this executor's cached events
-    /// (only meaningful once their commit/abort decisions are final).
-    fn publish_cached_deltas(&self, cached: &[(&Event<A::Payload>, tstream_txn::BlotterHandle)]) {
-        let (mut committed, mut rejected) = (0u64, 0u64);
-        for (_, blotter) in cached {
-            if blotter.is_aborted() {
-                rejected += 1;
-            } else {
-                committed += 1;
-            }
-        }
-        self.publish_deltas(committed, rejected);
-    }
-
-    /// Record one completed event with the sink: replayed batches count but
-    /// are not latency-sampled (their arrival instant is the re-ingestion
-    /// time, not the original arrival).
-    fn sink_emit(sink: &mut Sink, replayed: bool, arrival: Instant) {
-        if replayed {
-            sink.emit_unsampled();
-        } else {
-            sink.emit(arrival);
-        }
-    }
-
-    /// One batch of the eager (baseline) paradigm on executor `index`.
+    /// The body of one batch of the eager (baseline) paradigm on executor
+    /// `index`: each event is fully processed — state transaction, then
+    /// post-processing — before the next.
     fn eager_step(
         &self,
         scheme: &Arc<dyn EagerScheme>,
@@ -526,79 +640,32 @@ impl<A: Application> RunContext<A> {
         }
         self.barrier_wait(index, seq, state);
 
-        let committed_before = state.committed;
-        let rejected_before = state.rejected;
         let t_batch = clock::now();
         for event in &batch.per_executor[index] {
             let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
             let outcome = scheme.execute(&txn, &self.store, &env, &mut state.breakdown);
-            let _ = self.app.post_process(&event.payload, &blotter);
-            if outcome.is_committed() && !blotter.is_aborted() {
-                state.committed += 1;
-                Self::sink_emit(&mut state.sink, batch.replayed, event.arrival);
-            } else {
-                state.rejected += 1;
-                state.sink.reject();
+            // The blotter carries the outcome from here on (a no-op for the
+            // schemes that already marked it; the first reason sticks).
+            if let TxnOutcome::Aborted { reason } = outcome {
+                blotter.mark_aborted(reason);
             }
+            self.finish_event(batch, event, &blotter, state);
         }
         state.compute_time += t_batch.elapsed();
-        let (committed, rejected) = (
-            state.committed - committed_before,
-            state.rejected - rejected_before,
-        );
-        self.publish_results(index, seq, committed, rejected);
-        // Publish the batch's result deltas before the barrier so the leader
-        // can stamp the checkpoint manifest with exact cumulative counts.
-        if matches!(self.durability, Durability::Wal(_)) {
-            self.publish_deltas(committed, rejected);
-        }
-
-        // Leave the batch together; the leader runs end-of-batch work
-        // (e.g. MVLK's version garbage collection) and, if durability is
-        // enabled, replicates the committed state to disk (Section IV-D).
-        if self.barrier_wait(index, seq, state) {
-            scheme.end_batch(&self.store);
-            match &self.durability {
-                Durability::None => {}
-                Durability::Snapshot(cp) => {
-                    let t = clock::now();
-                    if cp.checkpoint(&self.store).is_ok() {
-                        state.checkpoints += 1;
-                        self.obs.hub().checkpoint();
-                    }
-                    state.breakdown.charge(Component::Others, t.elapsed());
-                }
-                Durability::Wal(_) => self.wal_leader_checkpoint(batch, state),
-            }
-        }
     }
 
-    /// Record one executor's per-batch committed/rejected deltas with the
-    /// metrics hub and the flight recorder.
-    #[inline]
-    fn publish_results(&self, index: usize, batch: u64, committed: u64, rejected: u64) {
-        self.obs.hub().batch_published(committed, rejected);
-        self.obs.trace_exec(
-            index,
-            batch,
-            TraceKind::Published {
-                committed: committed.min(u32::MAX as u64) as u32,
-                rejected: rejected.min(u32::MAX as u64) as u32,
-            },
-        );
-    }
-
-    /// One batch of TStream's dual-mode scheduling on executor `index`.
-    fn tstream_step(
+    /// The body of one restructured batch of TStream's dual-mode scheduling
+    /// on executor `index`: decompose in compute mode, process the operation
+    /// chains in state-access mode, replay serially if a multi-write
+    /// transaction aborted.  Returns this executor's events for
+    /// post-processing after the closing round.
+    fn tstream_step<'b>(
         &self,
         index: usize,
         env: ExecEnv,
-        batch: &EngineBatch<A::Payload>,
+        batch: &'b EngineBatch<A::Payload>,
         state: &mut ExecutorState,
-    ) {
-        if batch.conflict_free {
-            return self.tstream_fast_step(index, env, batch, state);
-        }
+    ) -> Postponed<'b, A::Payload> {
         let seq = batch.punctuation.seq;
         let assignment = self.pools.assignment(env.executor);
 
@@ -614,8 +681,7 @@ impl<A: Application> RunContext<A> {
         let classify_remote = env.numa.enabled && self.layout.sockets() > 1;
         let t_compute = clock::now();
         let my_events = &batch.per_executor[index];
-        let mut cached: Vec<(&Event<A::Payload>, tstream_txn::BlotterHandle)> =
-            Vec::with_capacity(my_events.len());
+        let mut cached: Postponed<'b, A::Payload> = Vec::with_capacity(my_events.len());
         for event in my_events {
             let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
             // Dynamic transaction decomposition (Section IV-C.1): one chain
@@ -713,15 +779,12 @@ impl<A: Application> RunContext<A> {
         // ---- Multi-write abort handling (Section IV-F): if any
         // multi-operation transaction aborted, its writes in other chains may
         // already have been applied.  All executors synchronise once more and
-        // the leader rolls the batch back and replays it serially; the next
-        // barrier below keeps everyone else waiting until the authoritative
-        // results are in place.
+        // the leader rolls the batch back and replays it serially.
         //
-        // The flag is captured once here — it is stable between the
-        // processing barrier above and the leader's `clear_batch` below, so
-        // every executor takes the same barrier path.
-        let replay_needed = self.abort_log.replay_needed();
-        if replay_needed {
+        // The flag is stable between the processing barrier above and the
+        // leader's `clear_batch` in the closing round, so every executor
+        // takes the same barrier path.
+        if self.abort_log.replay_needed() {
             let t_access = clock::now();
             if self.barrier_wait(index, seq, state) {
                 let replay = restructure::replay_batch_serially(
@@ -741,91 +804,27 @@ impl<A: Application> RunContext<A> {
                 );
             }
             state.access_time += t_access.elapsed();
-        }
-
-        // Without a serial replay, commit/abort outcomes are already final
-        // (processing finished at the second barrier), so durable sessions
-        // publish their result deltas *before* the recycle barrier and the
-        // leader writes the epoch-stamped checkpoint inside the same round —
-        // the common case pays three barriers per batch, durable or not.
-        let durable = matches!(self.durability, Durability::Wal(_));
-        if durable && !replay_needed {
-            self.publish_cached_deltas(&cached);
-        }
-
-        // ---- Third barrier, then the leader recycles the chain pools (and
-        // replicates the committed state to disk when durability is enabled,
-        // Section IV-D) while the others post-process; the next batch's
-        // compute mode cannot start before the leader reaches the next
-        // batch-entry barrier.
-        if self.barrier_wait(index, seq, state) {
-            let recycled: u64 = self
-                .pools
-                .chains_per_shard()
-                .iter()
-                .map(|&c| c as u64)
-                .sum();
-            self.pools.clear_all();
-            self.obs.hub().chains_recycled(recycled);
-            self.abort_log.clear_batch();
-            if let Durability::Snapshot(cp) = &self.durability {
-                let t = clock::now();
-                if cp.checkpoint(&self.store).is_ok() {
-                    state.checkpoints += 1;
-                    self.obs.hub().checkpoint();
-                }
-                state.breakdown.charge(Component::Others, t.elapsed());
-            }
-            if durable && !replay_needed {
-                self.wal_leader_checkpoint(batch, state);
+            // The leader rewrites outcomes until it arrives at the next
+            // round.  For a plain batch that is the closing round — early
+            // enough, as the outcomes are first read in the tail after it.
+            // A durable batch counts them *before* the closing round (the
+            // leader stamps the counts inside it), so only a replayed durable
+            // batch pays one more round here.
+            if self.durability.is_some() {
+                self.barrier_wait(index, seq, state);
             }
         }
-
-        // ---- Only a serially replayed batch still needs the extra barrier
-        // round: its outcomes were rewritten by the leader up to the barrier
-        // above, so the deltas can be published (and the checkpoint stamped)
-        // only now.  Post-processing below happens concurrently with the
-        // leader's disk write, exactly like the legacy snapshot path.
-        if durable && replay_needed {
-            self.publish_cached_deltas(&cached);
-            if self.barrier_wait(index, seq, state) {
-                self.wal_leader_checkpoint(batch, state);
-            }
-        }
-
-        // ---- Back in compute mode: post-process the cached events.
-        let committed_before = state.committed;
-        let rejected_before = state.rejected;
-        let t_post = clock::now();
-        for (event, blotter) in cached {
-            let _ = self.app.post_process(&event.payload, &blotter);
-            if blotter.is_aborted() {
-                state.rejected += 1;
-                state.sink.reject();
-            } else {
-                state.committed += 1;
-                Self::sink_emit(&mut state.sink, batch.replayed, event.arrival);
-            }
-        }
-        state.compute_time += t_post.elapsed();
-        self.publish_results(
-            index,
-            seq,
-            state.committed - committed_before,
-            state.rejected - rejected_before,
-        );
+        cached
     }
 
-    /// The conflict-free fast path (taken when ingestion classified the
-    /// batch's transactions as pairwise disjoint, see
+    /// The body of one conflict-free batch (taken when ingestion classified
+    /// the batch's transactions as pairwise disjoint, see
     /// [`batch_is_conflict_free`]): no decomposition, no chains, no
-    /// restructuring, no versioning.  Each executor runs its own events to
-    /// completion with per-event rollback — with disjoint read/write sets
-    /// every interleaving is conflict-equivalent to the timestamp order, so
-    /// this produces exactly the schedule dynamic restructuring would.
-    ///
-    /// Barriers are paid only when durability needs a quiescent point; a
-    /// plain conflict-free batch synchronises zero times.
+    /// restructuring, no versioning, no barrier.  Each executor runs its own
+    /// events to completion with per-event rollback — with disjoint
+    /// read/write sets every interleaving is conflict-equivalent to the
+    /// timestamp order, so this produces exactly the schedule dynamic
+    /// restructuring would.
     fn tstream_fast_step(
         &self,
         index: usize,
@@ -833,14 +832,12 @@ impl<A: Application> RunContext<A> {
         batch: &EngineBatch<A::Payload>,
         state: &mut ExecutorState,
     ) {
-        let seq = batch.punctuation.seq;
         if index == 0 {
             state.fast_batches += 1;
             self.obs.hub().fast_path_batch();
-            self.obs.trace_exec(index, seq, TraceKind::FastPath);
+            self.obs
+                .trace_exec(index, batch.punctuation.seq, TraceKind::FastPath);
         }
-        let committed_before = state.committed;
-        let rejected_before = state.rejected;
         let mut access = Duration::ZERO;
         let t_batch = clock::now();
         for event in &batch.per_executor[index] {
@@ -859,46 +856,10 @@ impl<A: Application> RunContext<A> {
                 );
                 access += t_access.elapsed();
             }
-            let _ = self.app.post_process(&event.payload, &blotter);
-            if blotter.is_aborted() {
-                state.rejected += 1;
-                state.sink.reject();
-            } else {
-                state.committed += 1;
-                Self::sink_emit(&mut state.sink, batch.replayed, event.arrival);
-            }
+            self.finish_event(batch, event, &blotter, state);
         }
         state.access_time += access;
         state.compute_time += t_batch.elapsed().saturating_sub(access);
-        let (committed, rejected) = (
-            state.committed - committed_before,
-            state.rejected - rejected_before,
-        );
-        self.publish_results(index, seq, committed, rejected);
-
-        // Durability is the only reason to synchronise: checkpoints need
-        // every executor's writes (and, for WAL manifests, deltas) in place
-        // before the leader touches the disk.  A plain conflict-free batch
-        // pays no barrier at all.
-        match &self.durability {
-            Durability::None => {}
-            Durability::Snapshot(cp) => {
-                if self.barrier_wait(index, seq, state) {
-                    let t = clock::now();
-                    if cp.checkpoint(&self.store).is_ok() {
-                        state.checkpoints += 1;
-                        self.obs.hub().checkpoint();
-                    }
-                    state.breakdown.charge(Component::Others, t.elapsed());
-                }
-            }
-            Durability::Wal(_) => {
-                self.publish_deltas(committed, rejected);
-                if self.barrier_wait(index, seq, state) {
-                    self.wal_leader_checkpoint(batch, state);
-                }
-            }
-        }
     }
 }
 
@@ -918,7 +879,6 @@ impl<A: Application> RunContext<A> {
 #[derive(Debug, Clone)]
 pub struct Engine {
     config: EngineConfig,
-    checkpointer: Option<Arc<Checkpointer>>,
     /// The `Arc` is what clones share; the `OnceLock` is the lazy spawn.
     /// Keeping the cell itself shared means a clone made *before* the first
     /// run still uses the same pool as the original.
@@ -933,23 +893,9 @@ impl Engine {
     pub fn new(config: EngineConfig) -> Self {
         Engine {
             config,
-            checkpointer: None,
             pool: Arc::new(OnceLock::new()),
             obs: Arc::new(Obs::new(config.obs, config.executors.max(1))),
         }
-    }
-
-    /// Attach a durability checkpointer (Section IV-D): the committed state is
-    /// replicated to disk at every punctuation boundary, before the executors
-    /// resume compute mode.
-    pub fn with_checkpointer(mut self, checkpointer: Arc<Checkpointer>) -> Self {
-        self.checkpointer = Some(checkpointer);
-        self
-    }
-
-    /// The attached checkpointer, if any.
-    pub fn checkpointer(&self) -> Option<&Arc<Checkpointer>> {
-        self.checkpointer.as_ref()
     }
 
     /// The engine's configuration.
@@ -1026,42 +972,12 @@ impl Engine {
         self.pool.get().map(|p| p.spawned()).unwrap_or(0)
     }
 
-    /// The durability mode of plain (non-durable-session) runs: the legacy
-    /// snapshot checkpointer if one is attached, none otherwise.
-    pub(crate) fn legacy_durability(&self) -> Durability {
-        match &self.checkpointer {
-            Some(cp) => Durability::Snapshot(cp.clone()),
-            None => Durability::None,
-        }
-    }
-
-    /// Open a plain streaming session.
-    ///
-    /// Deprecated: this forwards to
-    /// [`Engine::session_builder`]`(..).open()`; use the builder directly —
-    /// it also composes durable mode, recovery, adaptive punctuation,
-    /// per-session pipeline depth and labels.
-    #[deprecated(
-        since = "0.6.0",
-        note = "use `engine.session_builder(app, store, scheme).open()` instead"
-    )]
-    pub fn session<'e, A: Application>(
-        &'e self,
-        app: &Arc<A>,
-        store: &Arc<StateStore>,
-        scheme: &Scheme,
-    ) -> Session<'e, A> {
-        self.session_builder(app, store, scheme)
-            .open()
-            .expect("plain sessions cannot fail to open")
-    }
-
     /// Run `payloads` through `app` on top of `store` under `scheme`.
     ///
     /// This is a thin wrapper that streams the input through one plain
-    /// [`Session`] built with [`Engine::session_builder`]: ingestion
-    /// (stamping, routing, batch formation) overlaps execution, and the
-    /// executor threads come from the engine's persistent pool.
+    /// [`crate::session::Session`] built with [`Engine::session_builder`]:
+    /// ingestion (stamping, routing, batch formation) overlaps execution,
+    /// and the executor threads come from the engine's persistent pool.
     pub fn run<A: Application>(
         &self,
         app: &Arc<A>,
@@ -1085,10 +1001,10 @@ impl Engine {
 
     /// The seed's offline execution mode, kept as a differential baseline:
     /// pre-materialize every batch, then spawn one scoped thread per executor
-    /// that loops over the batches.  Runs the same per-batch step functions
-    /// as the pipelined path, so committed/rejected counts and final state
-    /// must be byte-identical to [`Engine::run`]; only scheduling (and hence
-    /// timing) differs.
+    /// that loops over the batches.  Admits and executes every batch through
+    /// the same code as the pipelined path, so committed/rejected counts and
+    /// final state must be byte-identical to [`Engine::run`]; only scheduling
+    /// (and hence timing) differs.
     pub fn run_offline<A: Application>(
         &self,
         app: &Arc<A>,
@@ -1100,7 +1016,7 @@ impl Engine {
         // concurrent sessions, they own the store and scheme instance they
         // run against, so they may execute alongside sessions on other
         // stores of the same engine.
-        let ctx = RunContext::new(self, app, store, scheme, self.legacy_durability(), None);
+        let ctx = RunContext::new(self, app, store, scheme, None, None);
         let total_events = payloads.len() as u64;
         let mut builder = self.batch_builder(app, store);
         let mut batches: Vec<EngineBatch<A::Payload>> = Vec::new();
@@ -1110,23 +1026,9 @@ impl Engine {
             }
         }
         batches.extend(builder.finish());
-        if matches!(scheme, Scheme::TStream) {
-            let mut scratch = ConflictScratch::default();
-            for batch in &mut batches {
-                batch.conflict_free = batch_is_conflict_free(&batch.descriptors, &mut scratch);
-            }
-        }
-        for batch in &batches {
-            self.obs
-                .hub()
-                .batch_ingested(batch.events() as u64, batch.replayed);
-            self.obs.trace_ingest(
-                batch.punctuation.seq,
-                TraceKind::BatchFormed {
-                    events: batch.events().min(u32::MAX as usize) as u32,
-                    replayed: batch.replayed,
-                },
-            );
+        let mut scratch = ConflictScratch::default();
+        for batch in &mut batches {
+            ctx.admit(batch, &mut scratch);
         }
 
         let started = clock::now();
@@ -1274,10 +1176,7 @@ impl ConflictScratch {
 ///
 /// Single pass over the batch's read/write-set entries against a recycled
 /// scratch table: O(ops) total, no per-descriptor sorting or allocation.
-pub(crate) fn batch_is_conflict_free(
-    descriptors: &[TxnDescriptor],
-    scratch: &mut ConflictScratch,
-) -> bool {
+fn batch_is_conflict_free(descriptors: &[TxnDescriptor], scratch: &mut ConflictScratch) -> bool {
     let touched: usize = descriptors.iter().map(|d| d.rw_set.len()).sum();
     scratch.reset(touched);
     for (txn, descriptor) in descriptors.iter().enumerate() {
@@ -1295,7 +1194,7 @@ fn build_transaction<A: Application>(
     app: &A,
     ts: u64,
     payload: &A::Payload,
-) -> (StateTransaction, tstream_txn::BlotterHandle) {
+) -> (StateTransaction, BlotterHandle) {
     let mut builder = TxnBuilder::new(ts);
     if app.pre_process(payload) {
         app.state_access(payload, &mut builder);
@@ -1313,7 +1212,7 @@ fn resolved_transaction<A: Application>(
     app: &A,
     batch: &EngineBatch<A::Payload>,
     event: &Event<A::Payload>,
-) -> (StateTransaction, tstream_txn::BlotterHandle) {
+) -> (StateTransaction, BlotterHandle) {
     let (mut txn, blotter) = build_transaction(app, event.ts, &event.payload);
     let descriptors = &batch.descriptors;
     let first_ts = batch.punctuation.ts.wrapping_sub(descriptors.len() as u64);

@@ -82,7 +82,6 @@ pub mod adaptive;
 pub mod builder;
 pub mod chains;
 pub mod config;
-pub mod durable;
 pub mod engine;
 pub mod restructure;
 pub mod runtime;
@@ -94,14 +93,10 @@ pub use adaptive::{AdaptiveConfig, AdaptiveIntervalController, IntervalObservati
 pub use builder::SessionBuilder;
 pub use chains::{ChainPool, ChainPoolSet, OperationChain, ProcessingAssignment};
 pub use config::{ChainPlacement, DependencyResolution, EngineConfig, TStreamConfig};
-#[allow(deprecated)]
-pub use durable::DurableSession;
 pub use engine::{Engine, RunReport, Scheme};
 pub use restructure::{BatchAbortLog, ChainStats, ReplayStats, RestructureContext, UndoRecord};
 pub use runtime::ExecutorPool;
 pub use session::Session;
-#[allow(deprecated)]
-pub use session::StreamSession;
 pub use standby::{restore_to_epoch, StandbySession};
 pub use tstream_obs::{MetricsSnapshot, ObsConfig, TraceEvent, TraceKind};
 pub use tstream_recovery::{FsyncPolicy, WalPayload};
@@ -112,12 +107,8 @@ pub use tstream_stream::partition::EventRouting;
 pub mod prelude {
     pub use crate::builder::SessionBuilder;
     pub use crate::config::{ChainPlacement, DependencyResolution, EngineConfig, TStreamConfig};
-    #[allow(deprecated)]
-    pub use crate::durable::DurableSession;
     pub use crate::engine::{Engine, RunReport, Scheme};
     pub use crate::session::Session;
-    #[allow(deprecated)]
-    pub use crate::session::StreamSession;
     pub use tstream_obs::{MetricsSnapshot, ObsConfig, TraceEvent, TraceKind};
     pub use tstream_recovery::{FsyncPolicy, RecoveryCoordinator, WalPayload};
     pub use tstream_state::{

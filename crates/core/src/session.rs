@@ -44,7 +44,7 @@ use tstream_txn::{Application, TxnDescriptor};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveIntervalController, IntervalObservation};
 use crate::engine::{
-    ConflictScratch, Durability, Engine, EngineBatch, ExecutorState, RunContext, RunReport, Scheme,
+    ConflictScratch, Engine, EngineBatch, ExecutorState, RunContext, RunReport, Scheme,
 };
 use crate::runtime::{ExecutorPool, SessionToken};
 
@@ -205,20 +205,12 @@ pub struct Session<'e, A: Application> {
     adaptive: Option<AdaptiveRuntime>,
 }
 
-/// The pre-builder name of [`Session`], kept for source compatibility.
-#[deprecated(
-    since = "0.6.0",
-    note = "use `Engine::session_builder(..).open()`, which yields the unified `Session` type"
-)]
-pub type StreamSession<'e, A> = Session<'e, A>;
-
 impl<'e, A: Application> Session<'e, A> {
     pub(crate) fn open(
         engine: &'e Engine,
         app: &Arc<A>,
         store: &Arc<StateStore>,
         scheme: &Scheme,
-        durability: Durability,
         durable: Option<DurableParts<A::Payload>>,
         options: SessionOptions,
     ) -> Self {
@@ -228,7 +220,8 @@ impl<'e, A: Application> Session<'e, A> {
             .unwrap_or(engine.config().pipeline_depth)
             .max(1);
         let token = pool.register_session(staging_depth);
-        let ctx = RunContext::new(engine, app, store, scheme, durability, options.label);
+        let log = durable.as_ref().map(|parts| parts.log.clone());
+        let ctx = RunContext::new(engine, app, store, scheme, log, options.label);
         let executors = ctx.executors();
         let hub = engine.obs().hub();
         hub.session_opened();
@@ -465,6 +458,9 @@ impl<'e, A: Application> Session<'e, A> {
             .map(|slot| std::mem::take(&mut *slot.lock()))
             .collect();
         let mut report = self.shared.ctx.aggregate(states, elapsed, self.pushed);
+        // Adaptive punctuation retunes the interval between batches; report
+        // the one in effect, not the one the engine was configured with.
+        report.punctuation_interval = self.punctuation_interval();
         if let Some(parts) = &self.durable {
             let base = parts.log.base();
             report.events += base.events;
@@ -544,26 +540,11 @@ impl<'e, A: Application> Session<'e, A> {
     /// Every job still marks completion, which keeps `flush` finite and the
     /// pool threads alive for the other sessions.
     fn dispatch(&mut self, mut batch: EngineBatch<A::Payload>) {
-        // Routing-time conflict classification (TStream only): a batch whose
-        // read/write sets are pairwise disjoint takes the restructuring-free
-        // fast path on the executors.
-        if matches!(self.shared.ctx.scheme, Scheme::TStream) {
-            batch.conflict_free = crate::engine::batch_is_conflict_free(
-                &batch.descriptors,
-                &mut self.conflict_scratch,
-            );
-        }
+        self.shared
+            .ctx
+            .admit(&mut batch, &mut self.conflict_scratch);
         let obs = self.shared.ctx.obs.clone();
         let seq = batch.punctuation.seq;
-        obs.hub()
-            .batch_ingested(batch.events() as u64, batch.replayed);
-        obs.trace_ingest(
-            seq,
-            TraceKind::BatchFormed {
-                events: batch.events().min(u32::MAX as usize) as u32,
-                replayed: batch.replayed,
-            },
-        );
         let batch = Arc::new(batch);
         let jobs: Vec<_> = (0..self.executors())
             .map(|e| {

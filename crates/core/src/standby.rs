@@ -30,7 +30,7 @@ use tstream_state::{StateError, StateResult, StateStore};
 use tstream_txn::Application;
 
 use crate::builder::DurableDirGuard;
-use crate::engine::{Durability, Engine, RunReport, Scheme};
+use crate::engine::{Engine, RunReport, Scheme};
 use crate::session::{DurableParts, Session, SessionOptions};
 
 /// A continuously-replaying standby session over an [`Engine`].
@@ -84,15 +84,8 @@ impl<'e, A: Application> StandbySession<'e, A> {
         scheme: &Scheme,
         next_epoch: u64,
     ) -> Self {
-        let mut session = Session::open(
-            engine,
-            app,
-            store,
-            scheme,
-            Durability::None,
-            None,
-            SessionOptions::default(),
-        );
+        let mut session =
+            Session::open(engine, app, store, scheme, None, SessionOptions::default());
         // Shipped segments are replays of the primary's batches: their
         // arrival instants here are ship times, not original arrivals, so
         // they are excluded from latency sampling and adaptive tuning.
@@ -217,15 +210,13 @@ impl<'e, A: Application> StandbySession<'e, A> {
             )));
         }
         log.attach_group_executor(Arc::new(self.engine.pool().wal_writer(self.engine.obs())));
-        let log = Arc::new(log);
         Ok(Session::open(
             self.engine,
             &self.app,
             &self.store,
             &self.scheme,
-            Durability::Wal(log.clone()),
             Some(DurableParts {
-                log,
+                log: Arc::new(log),
                 append: |log, payload| log.append(payload),
                 _dir_guard: dir_guard,
             }),
@@ -273,15 +264,7 @@ where
     if let Some(snapshot) = &pit.snapshot {
         snapshot.restore(store)?;
     }
-    let mut session = Session::open(
-        engine,
-        app,
-        store,
-        scheme,
-        Durability::None,
-        None,
-        SessionOptions::default(),
-    );
+    let mut session = Session::open(engine, app, store, scheme, None, SessionOptions::default());
     session.set_replay(true);
     for info in &pit.sealed_segments {
         for payload in read_segment::<A::Payload>(&info.path)?.events {

@@ -73,6 +73,11 @@ pub enum TraceKind {
         /// Checkpointed epoch.
         epoch: u64,
     },
+    /// A due checkpoint for this epoch could not be written.
+    CheckpointFailed {
+        /// Epoch the checkpoint would have covered.
+        epoch: u64,
+    },
     /// Sealed segments were truncated after a checkpoint.
     Truncated {
         /// Segments removed.
@@ -107,6 +112,7 @@ impl TraceKind {
             }
             TraceKind::Sealed { epoch } => format!("sealed epoch {epoch}"),
             TraceKind::Checkpointed { epoch } => format!("checkpointed epoch {epoch}"),
+            TraceKind::CheckpointFailed { epoch } => format!("CHECKPOINT FAILED epoch {epoch}"),
             TraceKind::Truncated { segments } => format!("truncated {segments} segments"),
             TraceKind::Poisoned => "POISONED".to_string(),
             TraceKind::Panicked => "PANICKED".to_string(),

@@ -116,6 +116,7 @@ pub struct MetricsHub {
     wal_fsync_ns: Counter,
     wal_seals: Counter,
     wal_checkpoints: Counter,
+    wal_checkpoint_failures: Counter,
     wal_truncated_segments: Counter,
 
     // --- replication ---------------------------------------------------
@@ -156,6 +157,7 @@ pub struct MetricsSnapshot {
     pub wal_fsync_ns: u64,
     pub wal_seals: u64,
     pub wal_checkpoints: u64,
+    pub wal_checkpoint_failures: u64,
     pub wal_truncated_segments: u64,
     pub replica_shipped_bytes: u64,
     pub replica_divergence_total: u64,
@@ -311,6 +313,14 @@ impl MetricsHub {
         }
     }
 
+    /// A due checkpoint could not be written; the WAL keeps the batch.
+    #[inline]
+    pub fn checkpoint_failed(&self) {
+        if self.enabled {
+            self.wal_checkpoint_failures.incr();
+        }
+    }
+
     // --- replication ---------------------------------------------------
 
     /// `bytes` of replication payload (segments, checkpoints, metadata)
@@ -403,6 +413,7 @@ impl MetricsHub {
             wal_fsync_ns: self.wal_fsync_ns.get(),
             wal_seals: self.wal_seals.get(),
             wal_checkpoints: self.wal_checkpoints.get(),
+            wal_checkpoint_failures: self.wal_checkpoint_failures.get(),
             wal_truncated_segments: self.wal_truncated_segments.get(),
             replica_shipped_bytes: self.replica_shipped_bytes.get(),
             replica_divergence_total: self.replica_divergence_total.get(),
@@ -532,6 +543,11 @@ impl MetricsSnapshot {
             self.wal_checkpoints,
         );
         counter(
+            "tstream_wal_checkpoint_failures_total",
+            "Due checkpoints that could not be written (WAL left untruncated)",
+            self.wal_checkpoint_failures,
+        );
+        counter(
             "tstream_wal_truncated_segments_total",
             "Sealed WAL segments truncated after checkpoints",
             self.wal_truncated_segments,
@@ -614,6 +630,7 @@ impl MetricsSnapshot {
                 "\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{},\"p999\":{}}},",
                 "\"wal_bytes\":{},\"wal_windows\":{},\"wal_fsyncs\":{},",
                 "\"wal_fsync_ns\":{},\"wal_seals\":{},\"wal_checkpoints\":{},",
+                "\"wal_checkpoint_failures\":{},",
                 "\"wal_truncated_segments\":{},\"replica_shipped_bytes\":{},",
                 "\"replica_divergence_total\":{},\"replica_lag_epochs\":{},",
                 "\"session_open\":{},",
@@ -647,6 +664,7 @@ impl MetricsSnapshot {
             self.wal_fsync_ns,
             self.wal_seals,
             self.wal_checkpoints,
+            self.wal_checkpoint_failures,
             self.wal_truncated_segments,
             self.replica_shipped_bytes,
             self.replica_divergence_total,

@@ -380,57 +380,6 @@ fn opening_and_closing_sessions_never_spawns_threads() {
     );
 }
 
-/// The deprecated entry points forward to the builder with identical
-/// semantics.
-#[test]
-#[allow(deprecated)]
-fn deprecated_entry_points_forward_to_the_builder() {
-    let engine = Engine::new(EngineConfig::with_executors(2).punctuation(16));
-    let app = Arc::new(Counter);
-
-    let store = counter_store(4);
-    let mut session = engine.session(&app, &store, &Scheme::TStream);
-    for i in 0..40u64 {
-        session.push(i % 4).unwrap();
-    }
-    let report = session.report().unwrap();
-    assert_eq!(report.committed, 40);
-    assert_eq!(report.label, None);
-
-    // durable_session / recover still round-trip a durability directory.
-    let dir = std::env::temp_dir().join(format!(
-        "tstream-deprecated-forward-{}-{:?}",
-        std::process::id(),
-        std::thread::current().id()
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let spec = WorkloadSpec::default().events(150).seed(0xDD);
-    let payloads = sl::generate(&spec);
-    {
-        let store = sl::build_store(&spec);
-        let sl_app = Arc::new(sl::StreamingLedger);
-        let mut durable = engine
-            .durable_session(&dir, &sl_app, &store, &Scheme::TStream)
-            .unwrap();
-        for p in payloads.iter().take(100).cloned() {
-            durable.push(p).unwrap();
-        }
-        drop(durable);
-    }
-    let store = sl::build_store(&spec);
-    let sl_app = Arc::new(sl::StreamingLedger);
-    let mut recovered = engine
-        .recover(&dir, &sl_app, &store, &Scheme::TStream)
-        .unwrap();
-    assert_eq!(recovered.ingested(), 100);
-    for p in payloads.iter().skip(100).cloned() {
-        recovered.push(p).unwrap();
-    }
-    let report = recovered.report().unwrap();
-    assert_eq!(report.events, 150);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
 /// Builder validation: contradictory option combinations are rejected with
 /// clear errors instead of opening a half-configured session.
 #[test]
@@ -548,6 +497,10 @@ fn adaptive_punctuation_retunes_the_interval_and_stays_exact() {
          controller must have grown the interval (got {grown})"
     );
     let report = session.report().unwrap();
+    assert_eq!(
+        report.punctuation_interval, grown,
+        "the report must carry the interval in effect, not the configured one"
+    );
     assert_eq!(report.committed, 2_000);
     assert_eq!(counter_sum(&store), 2_000);
 }

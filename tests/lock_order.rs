@@ -18,7 +18,6 @@ use parking_lot::lock_order;
 use tstream_apps::gs;
 use tstream_apps::workload::WorkloadSpec;
 use tstream_core::{Engine, EngineConfig, Scheme};
-use tstream_state::Checkpointer;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -42,12 +41,22 @@ fn durable_engine_run_is_clean_under_the_lock_order_tracker() {
     let spec = WorkloadSpec::default().events(1_200).seed(47);
     let store = gs::build_store(&spec);
     let app = Arc::new(gs::GrepSum::default());
-    let checkpointer = Arc::new(Checkpointer::new(&dir, 4).unwrap());
 
     let before = lock_order::edges_recorded();
-    let engine = Engine::new(EngineConfig::with_executors(4).punctuation(200))
-        .with_checkpointer(checkpointer);
-    let report = engine.run(&app, &store, gs::generate(&spec), &Scheme::TStream);
+    let engine = Engine::new(
+        EngineConfig::with_executors(4)
+            .punctuation(200)
+            .checkpoint_every(1),
+    );
+    let mut session = engine
+        .session_builder(&app, &store, &Scheme::TStream)
+        .durable(&dir)
+        .open()
+        .unwrap();
+    for event in gs::generate(&spec) {
+        session.push(event).unwrap();
+    }
+    let report = session.report().unwrap();
     assert_eq!(report.committed, 1_200);
     assert_eq!(report.checkpoints, 6);
 

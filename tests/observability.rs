@@ -14,8 +14,9 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use tstream_apps::workload::WorkloadSpec;
-use tstream_apps::{ob, sl};
+use tstream_apps::{gs, ob, sl, SchemeKind};
 use tstream_core::prelude::*;
+use tstream_recovery::coordinator::CHECKPOINT_SUBDIR;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -157,6 +158,134 @@ fn fast_path_counter_matches_the_report() {
     );
 }
 
+/// Stream `events` through one session (durable over a fresh directory when
+/// `durable`) and return the barrier rounds each executor paid per batch,
+/// with the metrics that show which execution path the batches took.
+fn barrier_rounds_per_batch<A>(
+    executors: usize,
+    interval: usize,
+    app: A,
+    store: Arc<StateStore>,
+    events: Vec<A::Payload>,
+    scheme: &Scheme,
+    durable: bool,
+) -> (u64, MetricsSnapshot)
+where
+    A: Application,
+    A::Payload: WalPayload,
+{
+    let dir = temp_dir(&format!("rounds-{}-{executors}-{durable}", app.name()));
+    let engine = Engine::new(EngineConfig::with_executors(executors).punctuation(interval));
+    let app = Arc::new(app);
+    let mut builder = engine.session_builder(&app, &store, scheme);
+    if durable {
+        builder = builder.durable(&dir);
+    }
+    let mut session = builder.open().unwrap();
+    for event in events {
+        session.push(event).unwrap();
+    }
+    let _ = session.report().unwrap();
+    let _ = fs::remove_dir_all(&dir);
+
+    let m = engine.metrics_snapshot();
+    assert_eq!(m.exec_batches, 4, "every case runs exactly four batches");
+    let slots = executors as u64 * m.exec_batches;
+    assert_eq!(
+        m.exec_barrier_waits % slots,
+        0,
+        "every executor must pay the same rounds in every batch"
+    );
+    (m.exec_barrier_waits / slots, m)
+}
+
+#[test]
+fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
+    // The barrier protocol, as recorded numbers: rounds per batch on two
+    // executors for each execution path, plain and durable.  Durability adds
+    // a round only where no closing round exists yet (fast path) or where the
+    // outcomes are rewritten after it (serial replay).
+    let sl_spec = WorkloadSpec::default().events(800).keys(32).seed(93);
+    let ob_spec = WorkloadSpec::default().keys(16).seed(94);
+    // A poisoned Alter followed by a valid one over the same items: the pair
+    // conflicts (no fast path) and the multi-write abort forces a replay.
+    let items: Vec<u64> = (0..10u64).collect();
+    let alter_pair = [vec![-1; 10], (0..10).map(|i| 500 + i as i64).collect()];
+    let ob_events: Vec<ob::ObEvent> = (0..4)
+        .flat_map(|_| alter_pair.clone())
+        .map(|prices| ob::ObEvent::Alter {
+            items: items.clone(),
+            prices,
+        })
+        .collect();
+    // One distinct key per event: every batch is conflict-free.
+    let gs_events: Vec<gs::GsEvent> = (0..256u64)
+        .map(|k| gs::GsEvent {
+            keys: vec![k],
+            writes: Some(vec![1]),
+        })
+        .collect();
+
+    for executors in [2, 1] {
+        for durable in [false, true] {
+            // With one executor every round is elided.
+            let expect = |rounds: u64| if executors == 1 { 0 } else { rounds };
+            let case = format!("{executors} executors, durable = {durable}");
+
+            let (eager, _) = barrier_rounds_per_batch(
+                executors,
+                200,
+                sl::StreamingLedger,
+                sl::build_store(&sl_spec),
+                sl::generate(&sl_spec),
+                &SchemeKind::NoLock.build(4),
+                durable,
+            );
+            assert_eq!(eager, expect(3), "eager, {case}");
+
+            let (restructured, m) = barrier_rounds_per_batch(
+                executors,
+                200,
+                sl::StreamingLedger,
+                sl::build_store(&sl_spec),
+                sl::generate(&sl_spec),
+                &Scheme::TStream,
+                durable,
+            );
+            assert_eq!((m.exec_restructured_batches, m.exec_serial_replays), (4, 0));
+            assert_eq!(restructured, expect(5), "restructured, {case}");
+
+            let (replayed, m) = barrier_rounds_per_batch(
+                executors,
+                2,
+                ob::OnlineBidding,
+                ob::build_store(&ob_spec),
+                ob_events.clone(),
+                &Scheme::TStream,
+                durable,
+            );
+            assert_eq!(m.exec_serial_replays, 4);
+            assert_eq!(
+                replayed,
+                expect(if durable { 7 } else { 6 }),
+                "restructured + replay, {case}"
+            );
+
+            let (fast, m) = barrier_rounds_per_batch(
+                executors,
+                64,
+                gs::GrepSum::default(),
+                gs::build_store(&WorkloadSpec::default()),
+                gs_events.clone(),
+                &Scheme::TStream,
+                durable,
+            );
+            assert_eq!(m.exec_fast_path_batches, 4);
+            assert_eq!(fast, expect(u64::from(durable)), "fast, {case}");
+        }
+    }
+}
+
 #[test]
 fn wal_counters_match_the_durable_report() {
     let dir = temp_dir("wal");
@@ -187,6 +316,62 @@ fn wal_counters_match_the_durable_report() {
     );
     assert!(m.wal_fsyncs > 0);
     assert!(m.wal_windows > 0);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn failed_checkpoints_are_counted_while_the_session_keeps_committing() {
+    let dir = temp_dir("checkpoint-failure");
+    let spec = WorkloadSpec::default().events(400).keys(32).seed(95);
+    let events = sl::generate(&spec);
+    let store = sl::build_store(&spec);
+    let app = Arc::new(sl::StreamingLedger);
+    let engine = Engine::new(
+        EngineConfig::with_executors(2)
+            .punctuation(200)
+            .checkpoint_every(1),
+    );
+    let mut session = engine
+        .session_builder(&app, &store, &Scheme::TStream)
+        .durable(&dir)
+        .open()
+        .unwrap();
+
+    for event in &events[..200] {
+        session.push(event.clone()).unwrap();
+    }
+    session.flush().unwrap();
+    let m = engine.metrics_snapshot();
+    assert_eq!((m.wal_checkpoints, m.wal_checkpoint_failures), (1, 0));
+
+    // Make the checkpoint directory unwritable.  Permission bits do not stop
+    // a test running as root, so swap the directory for a plain file.
+    let checkpoints = dir.join(CHECKPOINT_SUBDIR);
+    fs::remove_dir_all(&checkpoints).unwrap();
+    fs::write(&checkpoints, b"not a directory").unwrap();
+
+    for event in &events[200..] {
+        session.push(event.clone()).unwrap();
+    }
+    session.flush().unwrap();
+    let m = engine.metrics_snapshot();
+    assert_eq!((m.wal_checkpoints, m.wal_checkpoint_failures), (1, 1));
+    assert!(
+        engine
+            .flight_recording()
+            .iter()
+            .any(|e| e.kind == TraceKind::CheckpointFailed { epoch: 1 }),
+        "the failure must leave a flight-recorder event"
+    );
+    assert!(engine
+        .metrics_text()
+        .contains("tstream_wal_checkpoint_failures_total 1"));
+
+    // The WAL still covers the batch, and the session is not poisoned.
+    let report = session.report().unwrap();
+    assert_eq!(report.events, 400);
+    assert_eq!(report.committed + report.rejected, 400);
+    assert_eq!(report.checkpoints, 1);
     let _ = fs::remove_dir_all(&dir);
 }
 

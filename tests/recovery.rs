@@ -3,7 +3,7 @@
 //!
 //! For every app (GS/SL/OB/TP) and shard count {1, 4}, a durable run is
 //! killed at *every* punctuation-batch boundary in turn; recovering the
-//! durability directory with [`Engine::recover`] and finishing the stream
+//! durability directory with `.durable(dir).recover()` and finishing the stream
 //! must yield a key-sorted store snapshot and cumulative commit/abort
 //! counts **byte-identical** to an uninterrupted `run_offline` over the
 //! same input.  The checkpoint cadence is deliberately sparser than one
