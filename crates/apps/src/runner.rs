@@ -397,8 +397,7 @@ impl AppVisitor for SessionThread {
 /// each session gets its own store, workload and scheme instance, is pushed
 /// from its own thread, and is labelled with its app, so the reports stay
 /// attributable.  The sessions multiplex over the engine's shared executor
-/// pool — this is the multi-client shape the session scheduler exists for,
-/// and what the `bench_snapshot` concurrency rows measure.
+/// pool — this is the multi-client shape the session scheduler exists for.
 pub fn run_benchmark_concurrent(
     apps: &[AppKind],
     scheme: SchemeKind,

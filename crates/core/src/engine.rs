@@ -36,7 +36,8 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tstream_obs::{clock, MetricsSnapshot, Obs, TraceEvent, TraceKind, NO_BATCH};
+use tstream_obs::clock::{self, Stopwatch};
+use tstream_obs::{MetricsSnapshot, Obs, TraceEvent, TraceKind, NO_BATCH};
 use tstream_recovery::{DurableLog, WalStats};
 use tstream_state::checkpoint::CheckpointManifest;
 use tstream_state::{ShardRouter, StateStore, TableId, MAX_SHARDS};
@@ -53,7 +54,7 @@ use tstream_txn::{
     TxnOutcome,
 };
 
-use crate::chains::ChainPoolSet;
+use crate::chains::{ChainPoolSet, StateIndex};
 use crate::config::EngineConfig;
 use crate::restructure::{self, BatchAbortLog, ChainStats, RestructureContext};
 use crate::runtime::ExecutorPool;
@@ -298,7 +299,7 @@ impl<A: Application> RunContext<A> {
     /// The classification is routing-time conflict detection (TStream
     /// only): a batch whose read/write sets are pairwise disjoint takes the
     /// restructuring-free fast path on the executors.
-    pub(crate) fn admit(&self, batch: &mut EngineBatch<A::Payload>, scratch: &mut ConflictScratch) {
+    pub(crate) fn admit(&self, batch: &mut EngineBatch<A::Payload>, scratch: &mut StateIndex) {
         if matches!(self.scheme, Scheme::TStream) {
             batch.conflict_free = batch_is_conflict_free(&batch.descriptors, scratch);
         }
@@ -685,35 +686,22 @@ impl<A: Application> RunContext<A> {
         for event in my_events {
             let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
             // Dynamic transaction decomposition (Section IV-C.1): one chain
-            // insert per operation; chain-level dependency edges are recorded
-            // as we go.
+            // insert per operation.
             for op in txn.ops {
-                if !classify_remote {
-                    let chain = self.pools.chain_for(op.target);
-                    if let Some(dep) = op.dependency {
-                        chain.add_dependency(dep);
-                        self.pools.chain_for(dep).mark_depended_upon();
-                    }
-                    chain.insert(op);
-                    continue;
+                let remote_insert =
+                    classify_remote && self.pools.is_remote_insert(env.executor, op.target);
+                let t_insert = Stopwatch::start_if(classify_remote);
+                self.pools.chain_for_op(&op).insert(op);
+                if classify_remote {
+                    state.breakdown.charge(
+                        if remote_insert {
+                            Component::Rma
+                        } else {
+                            Component::Others
+                        },
+                        t_insert.elapsed(),
+                    );
                 }
-                let remote_insert = self.pools.is_remote_insert(env.executor, op.target);
-                let t_insert = clock::now();
-                let chain = self.pools.chain_for(op.target);
-                if let Some(dep) = op.dependency {
-                    chain.add_dependency(dep);
-                    self.pools.chain_for(dep).mark_depended_upon();
-                }
-                chain.insert(op);
-                let spent = t_insert.elapsed();
-                state.breakdown.charge(
-                    if remote_insert {
-                        Component::Rma
-                    } else {
-                        Component::Others
-                    },
-                    spent,
-                );
             }
             cached.push((event, blotter));
         }
@@ -931,8 +919,7 @@ impl Engine {
         self.obs.metrics_text()
     }
 
-    /// The current metrics as one flat JSON object (consumed by
-    /// `bench_snapshot`'s observability section).
+    /// The current metrics as one flat JSON object.
     pub fn metrics_json(&self) -> String {
         self.obs.metrics_json()
     }
@@ -1026,7 +1013,7 @@ impl Engine {
             }
         }
         batches.extend(builder.finish());
-        let mut scratch = ConflictScratch::default();
+        let mut scratch = StateIndex::default();
         for batch in &mut batches {
             ctx.admit(batch, &mut scratch);
         }
@@ -1112,59 +1099,6 @@ impl Engine {
     }
 }
 
-/// Recycled scratch table for [`batch_is_conflict_free`]: an open-addressing
-/// set of `(state hash, owning transaction)` pairs, sized to the batch and
-/// reused across batches so classification allocates nothing in steady
-/// state.
-///
-/// Only the 64-bit state hash is stored, never the state itself: two
-/// *distinct* states colliding on their hash are (very rarely) misread as
-/// the same state, which reports a conflict that is not there — the batch
-/// then merely takes the general restructuring path, which is always
-/// correct.  A real conflict can never be missed, because equal states
-/// always hash equal.
-#[derive(Default)]
-pub(crate) struct ConflictScratch {
-    /// `(state hash, descriptor index + 1)`; `(0, 0)` is the empty slot.
-    slots: Vec<(u64, u32)>,
-}
-
-impl ConflictScratch {
-    fn reset(&mut self, touched: usize) {
-        let wanted = (touched * 2).next_power_of_two().max(64);
-        if self.slots.len() < wanted {
-            self.slots = vec![(0, 0); wanted];
-        } else {
-            self.slots.fill((0, 0));
-        }
-    }
-
-    /// Record `state` as touched by transaction `txn`; returns `false` when
-    /// another transaction already touched it (a conflict).
-    fn insert(&mut self, state: tstream_stream::operator::StateRef, txn: u32) -> bool {
-        // fx-style mix of (table, key) into one 64-bit hash.
-        let mut h = state.key ^ ((state.table as u64) << 32);
-        h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        let h = h.max(1); // keep 0 as the empty marker
-        let mask = self.slots.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            let (slot_hash, slot_txn) = self.slots[i];
-            if slot_hash == 0 {
-                self.slots[i] = (h, txn + 1);
-                return true;
-            }
-            if slot_hash == h {
-                // Same state: fine if it is the same transaction touching it
-                // again (read + write of one key), a conflict otherwise.
-                return slot_txn == txn + 1;
-            }
-            i = (i + 1) & mask;
-        }
-    }
-}
-
 /// Routing-time conflict classification: `true` when no state is touched by
 /// two different transactions of the batch (strict pairwise disjointness of
 /// the determined read/write sets).  Such a batch needs no ordering machinery
@@ -1175,13 +1109,23 @@ impl ConflictScratch {
 /// classification happens on the ingestion thread, off the executors.
 ///
 /// Single pass over the batch's read/write-set entries against a recycled
-/// scratch table: O(ops) total, no per-descriptor sorting or allocation.
-fn batch_is_conflict_free(descriptors: &[TxnDescriptor], scratch: &mut ConflictScratch) -> bool {
+/// scratch index from each touched state to the transaction touching it:
+/// O(ops) total, no per-descriptor sorting or allocation.
+///
+/// The index compares state hashes only: two *distinct* states colliding on
+/// their hash are (very rarely) misread as the same state, which reports a
+/// conflict that is not there — the batch then merely takes the general
+/// restructuring path, which is always correct.  A real conflict can never
+/// be missed, because equal states always hash equal.
+fn batch_is_conflict_free(descriptors: &[TxnDescriptor], scratch: &mut StateIndex) -> bool {
     let touched: usize = descriptors.iter().map(|d| d.rw_set.len()).sum();
     scratch.reset(touched);
     for (txn, descriptor) in descriptors.iter().enumerate() {
         for (state, _) in descriptor.rw_set.iter() {
-            if !scratch.insert(*state, txn as u32) {
+            // The same transaction touching a state again (read + write of
+            // one key) is fine; another transaction's claim is a conflict.
+            let owner = scratch.find_or_insert(*state, txn as u32, |_| true);
+            if owner.is_some_and(|owner| owner != txn as u32) {
                 return false;
             }
         }

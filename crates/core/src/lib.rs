@@ -94,7 +94,7 @@ pub use builder::SessionBuilder;
 pub use chains::{ChainPool, ChainPoolSet, OperationChain, ProcessingAssignment};
 pub use config::{ChainPlacement, DependencyResolution, EngineConfig, TStreamConfig};
 pub use engine::{Engine, RunReport, Scheme};
-pub use restructure::{BatchAbortLog, ChainStats, ReplayStats, RestructureContext, UndoRecord};
+pub use restructure::{BatchAbortLog, ChainStats, ReplayStats, RestructureContext};
 pub use runtime::ExecutorPool;
 pub use session::Session;
 pub use standby::{restore_to_epoch, StandbySession};

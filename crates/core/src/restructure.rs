@@ -31,38 +31,26 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use tstream_state::{StateError, StateStore, TableId, Timestamp, Value};
+use tstream_obs::clock::{self, Stopwatch};
+use tstream_state::StateStore;
 use tstream_stream::metrics::{Breakdown, Component};
-use tstream_stream::operator::StateRef;
-use tstream_txn::exec::{execute_operation, undo_all, ValueMode};
-use tstream_txn::{ExecEnv, Operation, INVALID_SLOT};
+use tstream_txn::exec::{
+    execute_operation, execute_transaction_body, resolve_record, AccessPlan, UndoEntry, ValueMode,
+};
+use tstream_txn::{ExecEnv, Operation};
 
-use crate::chains::{ChainPoolSet, OperationChain, ProcessingAssignment};
+use crate::chains::{ChainPoolSet, OperationChain, ProcessingAssignment, StateIndex};
 use crate::config::DependencyResolution;
-
-/// Undo information for one write applied during chain processing.
-#[derive(Debug, Clone)]
-pub struct UndoRecord {
-    /// State that was written.
-    pub state: StateRef,
-    /// Record slot of the state ([`INVALID_SLOT`] when the write went
-    /// through the keyed index), so rollback needs no further lookup.
-    pub slot: u32,
-    /// Timestamp of the writing transaction.
-    pub ts: Timestamp,
-    /// Committed value of the state immediately before the write.
-    pub previous: Value,
-}
 
 /// Per-batch abort bookkeeping shared by all executors.
 ///
-/// Executors append the undo records of the writes they applied once they
+/// Executors append the undo entries of the writes they applied once they
 /// finish their share of the batch; if any multi-operation transaction
 /// aborted, the batch is replayed serially from the restored pre-batch state
 /// (see [`replay_batch_serially`]).
 #[derive(Debug, Default)]
 pub struct BatchAbortLog {
-    undo: Mutex<Vec<UndoRecord>>,
+    undo: Mutex<Vec<UndoEntry>>,
     replay_needed: AtomicBool,
     /// Scratch table of the serial replay's restore pass, recycled across
     /// batches (replays are leader-only at a quiescent point, so the lock is
@@ -76,12 +64,12 @@ impl BatchAbortLog {
         Self::default()
     }
 
-    /// Append one executor's undo records.
-    pub fn append(&self, mut records: Vec<UndoRecord>) {
-        if records.is_empty() {
+    /// Append one executor's undo entries.
+    pub fn append(&self, mut entries: Vec<UndoEntry>) {
+        if entries.is_empty() {
             return;
         }
-        self.undo.lock().append(&mut records);
+        self.undo.lock().append(&mut entries);
     }
 
     /// Flag that a multi-operation transaction aborted during the batch, so
@@ -95,13 +83,13 @@ impl BatchAbortLog {
         self.replay_needed.load(Ordering::Acquire)
     }
 
-    /// Number of undo records accumulated for the current batch.
+    /// Number of undo entries accumulated for the current batch.
     pub fn undo_len(&self) -> usize {
         self.undo.lock().len()
     }
 
-    /// Take all undo records, leaving the log empty.
-    pub fn take_undo(&self) -> Vec<UndoRecord> {
+    /// Take all undo entries, leaving the log empty.
+    pub fn take_undo(&self) -> Vec<UndoEntry> {
         std::mem::take(&mut self.undo.lock())
     }
 
@@ -112,82 +100,37 @@ impl BatchAbortLog {
     }
 }
 
-/// One state's oldest undo record, as tracked by the [`ReplayArena`].
-#[derive(Debug)]
-struct ArenaEntry {
-    state: StateRef,
-    slot: u32,
-    ts: Timestamp,
-    previous: Value,
-}
-
-/// Open-addressing scratch table of the serial replay's restore pass,
-/// recycled across batches (the [`crate::chains::ChainPool`] pattern): maps
-/// each written state to the *oldest* undo record the batch produced for it,
-/// i.e. the committed value the state had before the batch touched it.
-///
-/// The index stores `(state hash, entry index + 1)` pairs and probes
-/// linearly; hash collisions are disambiguated against the actual state in
-/// the dense entry list, so restores are always exact.  In steady state a
-/// replay allocates nothing here.
+/// Scratch table of the serial replay's restore pass: maps each written state
+/// to the *oldest* undo entry the batch produced for it, i.e. the committed
+/// value the state had before the batch touched it.  Hash collisions in the
+/// index are disambiguated against the actual state in the dense entry list,
+/// so restores are always exact.  In steady state a replay allocates nothing
+/// here.
 #[derive(Debug, Default)]
 struct ReplayArena {
-    index: Vec<(u64, u32)>,
-    entries: Vec<ArenaEntry>,
-}
-
-/// fx-style mix of a state reference into one 64-bit hash (non-zero, so `0`
-/// can mark an empty index slot).
-fn state_hash(state: StateRef) -> u64 {
-    let mut h = state.key ^ ((state.table as u64) << 32);
-    h = h.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    h ^= h >> 32;
-    h.max(1)
+    /// State → position in `entries`.
+    index: StateIndex,
+    entries: Vec<UndoEntry>,
 }
 
 impl ReplayArena {
-    /// Size the index for `records` undo records and forget previous
-    /// contents; existing capacity is reused.
-    fn reset(&mut self, records: usize) {
-        let wanted = (records * 2).next_power_of_two().max(64);
-        if self.index.len() < wanted {
-            self.index = vec![(0, 0); wanted];
-        } else {
-            self.index.fill((0, 0));
-        }
-        self.entries.clear();
-    }
-
-    /// Fold one undo record in, keeping the oldest (smallest-timestamp)
-    /// record per state.
-    fn note(&mut self, record: UndoRecord) {
-        let h = state_hash(record.state);
-        let mask = self.index.len() - 1;
-        let mut i = (h as usize) & mask;
-        loop {
-            let (slot_hash, idx) = self.index[i];
-            if slot_hash == 0 {
-                self.index[i] = (h, self.entries.len() as u32 + 1);
-                self.entries.push(ArenaEntry {
-                    state: record.state,
-                    slot: record.slot,
-                    ts: record.ts,
-                    previous: record.previous,
-                });
-                return;
-            }
-            if slot_hash == h {
-                let entry = &mut self.entries[(idx - 1) as usize];
-                if entry.state == record.state {
-                    if record.ts < entry.ts {
-                        entry.ts = record.ts;
-                        entry.slot = record.slot;
-                        entry.previous = record.previous;
-                    }
-                    return;
+    /// Fold one undo entry in, keeping the oldest (smallest-timestamp) entry
+    /// per state.
+    fn note(&mut self, entry: UndoEntry) {
+        let entries = &self.entries;
+        let found = self
+            .index
+            .find_or_insert(entry.target, entries.len() as u32, |at| {
+                entries[at as usize].target == entry.target
+            });
+        match found {
+            None => self.entries.push(entry),
+            Some(at) => {
+                let oldest = &mut self.entries[at as usize];
+                if entry.ts < oldest.ts {
+                    *oldest = entry;
                 }
             }
-            i = (i + 1) & mask;
         }
     }
 }
@@ -235,10 +178,10 @@ pub struct RestructureContext<'a> {
     /// two clock reads per operation.
     pub classify_remote: bool,
     /// Whether the whole run uses a single executor.  Barriers are elided and
-    /// the batch is processed straight out of the pool shards: no task list,
-    /// no claim locks, and no `Arc` clone for chains without dependencies.
+    /// the batch is processed straight out of the pool shards: no task list
+    /// and no claim locks.
     pub single_executor: bool,
-    /// Per-batch abort bookkeeping (undo records + replay flag).
+    /// Per-batch abort bookkeeping (undo entries + replay flag).
     pub abort_log: &'a BatchAbortLog,
 }
 
@@ -255,50 +198,18 @@ pub fn process_assigned(
 ) -> (ChainStats, Vec<Arc<OperationChain>>) {
     let pool = &ctx.pools.pools()[assignment.pool];
     let mut stats = ChainStats::default();
-    let mut versioned = Vec::new();
-    let mut undo: Vec<UndoRecord> = Vec::new();
+    let mut undo: Vec<UndoEntry> = Vec::new();
 
-    if ctx.single_executor {
-        // One executor owns every chain: skip the sorted task list entirely
-        // and process straight from a plain snapshot of the pool shards.
-        // The snapshot is taken first (one read lock per pool shard) so no
-        // shard lock is held while operations execute — state access takes
-        // record locks and touches per-event blotters, and nesting those
-        // under a pool-shard guard both risks lock-order inversions and
-        // poisons the lock-order tracker's acquisition graph in test builds.
-        // Chains that neither depend on another chain nor are depended upon
-        // (the overwhelming majority under realistic workloads) are processed
-        // in place with no cursor allocation and no claim lock; the rest are
-        // deferred to the cooperative scheduler, which with one executor can
-        // never stall: the smallest-timestamp unprocessed operation is
-        // always runnable.
-        let t_all = (!ctx.classify_remote).then(Instant::now);
-        let mut deferred: Vec<Arc<OperationChain>> = Vec::new();
-        for chain in pool.snapshot() {
-            if chain.is_depended_upon() || chain.has_dependencies() {
-                deferred.push(chain);
-            } else {
-                process_whole_chain(ctx, &chain, &mut stats, breakdown, &mut undo, false);
-            }
-        }
-        if !deferred.is_empty() {
-            process_cooperatively(ctx, &deferred, &mut stats, breakdown, &mut undo, false);
-            for chain in &deferred {
-                if chain.is_depended_upon() {
-                    versioned.push(chain.clone());
-                }
-            }
-        }
-        if let Some(t) = t_all {
-            breakdown.charge(Component::Useful, t.elapsed());
-        }
-        stats.rounds = 1;
-        ctx.abort_log.append(undo);
-        return (stats, versioned);
-    }
-
-    // Claim the chains this executor is responsible for.
-    let my_chains: Vec<Arc<OperationChain>> = if assignment.group_size <= 1 {
+    // Claim the chains this executor is responsible for.  A lone executor
+    // owns every chain and skips the sorted task list: it takes a plain
+    // snapshot of the pool shards (one read lock per shard, released before
+    // any operation executes — state access takes record locks and touches
+    // per-event blotters, and nesting those under a pool-shard guard both
+    // risks lock-order inversions and poisons the lock-order tracker's
+    // acquisition graph in test builds).
+    let my_chains: Vec<Arc<OperationChain>> = if ctx.single_executor {
+        pool.snapshot()
+    } else if assignment.group_size <= 1 {
         pool.claim_all_remaining()
     } else if ctx.work_stealing {
         std::iter::from_fn(|| pool.claim_next()).collect()
@@ -306,58 +217,60 @@ pub fn process_assigned(
         pool.task_slice(assignment.member, assignment.group_size)
     };
 
-    match ctx.resolution {
-        DependencyResolution::FineGrained => {
-            process_cooperatively(ctx, &my_chains, &mut stats, breakdown, &mut undo, true);
-            stats.rounds = 1;
-        }
-        DependencyResolution::Rounds => {
-            // Round 1 .. k: only process chains whose dependency chains have
-            // been fully processed; remaining chains wait for the next round.
-            let mut pending: Vec<Arc<OperationChain>> = Vec::new();
-            let mut current: Vec<Arc<OperationChain>> = my_chains.clone();
-            let mut rounds = 0usize;
-            loop {
-                rounds += 1;
-                let mut progressed = false;
-                for chain in current.drain(..) {
-                    let ready = chain.dependencies().iter().all(|dep| {
-                        ctx.pools
-                            .find_chain(*dep)
-                            .map(|c| c.is_fully_processed())
-                            .unwrap_or(true)
-                    });
-                    if ready {
-                        process_whole_chain(ctx, &chain, &mut stats, breakdown, &mut undo, true);
-                        progressed = true;
-                    } else {
-                        pending.push(chain);
-                    }
-                }
-                if pending.is_empty() {
-                    break;
-                }
-                if !progressed {
-                    // No chain became ready in a whole pass: either a
-                    // dependency cycle between chains or a dependency owned by
-                    // another executor that is itself not finished.  Fall back
-                    // to the deadlock-free cooperative scheduler for the rest.
-                    let rest = std::mem::take(&mut pending);
-                    process_cooperatively(ctx, &rest, &mut stats, breakdown, &mut undo, true);
-                    break;
-                }
-                std::mem::swap(&mut current, &mut pending);
-            }
-            stats.rounds = rounds;
-        }
-    }
+    // With per-op classification off, Useful is charged per chain/burst —
+    // or, for a lone executor, once around its whole share.
+    let t_all = Stopwatch::start_if(ctx.single_executor && !ctx.classify_remote);
+    let per_chain = !ctx.single_executor && !ctx.classify_remote;
 
-    for chain in &my_chains {
-        if chain.is_depended_upon() {
-            versioned.push(chain.clone());
+    if ctx.single_executor || ctx.resolution == DependencyResolution::FineGrained {
+        // With one executor the cooperative scheduler can never stall: the
+        // smallest-timestamp unprocessed operation is always runnable.
+        process_cooperatively(ctx, &my_chains, &mut stats, breakdown, &mut undo, per_chain);
+        stats.rounds = 1;
+    } else {
+        // Round 1 .. k: only process chains whose dependency chains have
+        // been fully processed; remaining chains wait for the next round.
+        let mut pending: Vec<Arc<OperationChain>> = Vec::new();
+        let mut current: Vec<Arc<OperationChain>> = my_chains.clone();
+        loop {
+            stats.rounds += 1;
+            let mut progressed = false;
+            for chain in current.drain(..) {
+                let ready = chain.dependencies().iter().all(|dep| {
+                    ctx.pools
+                        .find_chain(*dep)
+                        .map(|c| c.is_fully_processed())
+                        .unwrap_or(true)
+                });
+                if ready {
+                    process_whole_chain(ctx, &chain, &mut stats, breakdown, &mut undo, per_chain);
+                    progressed = true;
+                } else {
+                    pending.push(chain);
+                }
+            }
+            if pending.is_empty() {
+                break;
+            }
+            if !progressed {
+                // No chain became ready in a whole pass: either a
+                // dependency cycle between chains or a dependency owned by
+                // another executor that is itself not finished.  Fall back
+                // to the deadlock-free cooperative scheduler for the rest.
+                let rest = std::mem::take(&mut pending);
+                process_cooperatively(ctx, &rest, &mut stats, breakdown, &mut undo, per_chain);
+                break;
+            }
+            std::mem::swap(&mut current, &mut pending);
         }
     }
+    breakdown.charge(Component::Useful, t_all.elapsed());
+
     ctx.abort_log.append(undo);
+    let versioned = my_chains
+        .into_iter()
+        .filter(|chain| chain.is_depended_upon())
+        .collect();
     (stats, versioned)
 }
 
@@ -381,31 +294,29 @@ struct ChainCursor<'a> {
 /// depends on are assigned to the *same* executor: the globally
 /// smallest-timestamp unprocessed operation is always runnable, and its owner
 /// reaches it within one pass over its cursors.
+///
+/// `timed` charges every chain walk and burst to Useful (see
+/// [`process_assigned`]).
 fn process_cooperatively(
     ctx: &RestructureContext<'_>,
     chains: &[Arc<OperationChain>],
     stats: &mut ChainStats,
     breakdown: &mut Breakdown,
-    undo: &mut Vec<UndoRecord>,
+    undo: &mut Vec<UndoEntry>,
     timed: bool,
 ) {
-    // With per-op classification off, charge Useful at chain/burst
-    // granularity instead — unless an enclosing timer already covers us
-    // (`timed == false`, the single-executor path).
-    let coarse = timed && !ctx.classify_remote;
     // First pass: walk each chain in place.  Only a chain that actually hits
     // an unsatisfied dependency materialises a cursor (with its op vector)
-    // for the cycling loop below; most chains complete here with zero
-    // allocations.
+    // for the cycling loop below; most chains — every one that neither
+    // depends on another chain nor is depended upon — complete here with
+    // zero allocations.
     let mut blocked: Vec<ChainCursor<'_>> = Vec::new();
     'chains: for chain in chains {
         let versioned_target = chain.is_depended_upon();
-        let t = coarse.then(Instant::now);
+        let t = Stopwatch::start_if(timed);
         for (i, op) in chain.iter().enumerate() {
             if dependency_blocked(ctx, op) {
-                if let Some(t) = t {
-                    breakdown.charge(Component::Useful, t.elapsed());
-                }
+                breakdown.charge(Component::Useful, t.elapsed());
                 blocked.push(ChainCursor {
                     chain,
                     ops: chain.iter().collect(),
@@ -413,11 +324,9 @@ fn process_cooperatively(
                 });
                 continue 'chains;
             }
-            apply_chain_op(ctx, chain, op, versioned_target, stats, breakdown, undo);
+            execute_chain_op(ctx, chain, op, versioned_target, stats, breakdown, undo);
         }
-        if let Some(t) = t {
-            breakdown.charge(Component::Useful, t.elapsed());
-        }
+        breakdown.charge(Component::Useful, t.elapsed());
         chain.mark_fully_processed();
         stats.chains += 1;
     }
@@ -434,16 +343,13 @@ fn process_cooperatively(
                 continue;
             }
             let versioned_target = cursor.chain.is_depended_upon();
-            let t = coarse.then(Instant::now);
-            let burst_start = cursor.next;
+            let t = Stopwatch::start_if(timed);
             while cursor.next < cursor.ops.len() {
                 let op = cursor.ops[cursor.next];
-                // Non-blocking dependency check: every write with a smaller
-                // timestamp in the depended-upon chain must have been applied.
                 if dependency_blocked(ctx, op) {
                     break;
                 }
-                apply_chain_op(
+                execute_chain_op(
                     ctx,
                     cursor.chain,
                     op,
@@ -453,24 +359,19 @@ fn process_cooperatively(
                     undo,
                 );
                 cursor.next += 1;
-            }
-            if cursor.next > burst_start {
                 progressed = true;
             }
-            if let Some(t) = t {
-                breakdown.charge(Component::Useful, t.elapsed());
-            }
+            breakdown.charge(Component::Useful, t.elapsed());
             if cursor.next >= cursor.ops.len() {
                 cursor.chain.mark_fully_processed();
                 stats.chains += 1;
                 remaining -= 1;
-                progressed = true;
             }
         }
         if !progressed {
             // Every remaining operation waits on a chain owned by another
             // executor; account the stall as Sync and yield until it advances.
-            wait_timer.get_or_insert_with(Instant::now);
+            wait_timer.get_or_insert_with(clock::now);
             std::thread::yield_now();
         } else if let Some(timer) = wait_timer.take() {
             breakdown.charge(Component::Sync, timer.elapsed());
@@ -498,32 +399,6 @@ fn dependency_blocked(ctx: &RestructureContext<'_>, op: &Operation) -> bool {
     }
 }
 
-/// Apply (or skip) one operation of a chain, updating statistics and — for
-/// depended-upon chains only, the only ones whose watermark is ever read —
-/// the processed watermark.
-#[inline]
-fn apply_chain_op(
-    ctx: &RestructureContext<'_>,
-    chain: &OperationChain,
-    op: &Operation,
-    versioned_target: bool,
-    stats: &mut ChainStats,
-    breakdown: &mut Breakdown,
-    undo: &mut Vec<UndoRecord>,
-) {
-    if op.blotter.is_aborted() {
-        stats.skipped += 1;
-    } else {
-        match execute_chain_op(ctx, op, versioned_target, breakdown, undo) {
-            Ok(()) => stats.ops += 1,
-            Err(_) => stats.skipped += 1,
-        }
-    }
-    if versioned_target {
-        chain.advance_processed(op.ts + 1);
-    }
-}
-
 /// Walk one operation chain from the smallest timestamp, applying every
 /// operation; used by the round-based scheduler once the chain's dependencies
 /// are known to be fully processed.
@@ -532,126 +407,69 @@ fn process_whole_chain(
     chain: &OperationChain,
     stats: &mut ChainStats,
     breakdown: &mut Breakdown,
-    undo: &mut Vec<UndoRecord>,
+    undo: &mut Vec<UndoEntry>,
     timed: bool,
 ) {
     let versioned_target = chain.is_depended_upon();
-    let t = (timed && !ctx.classify_remote).then(Instant::now);
+    let t = Stopwatch::start_if(timed);
     for op in chain.iter() {
-        apply_chain_op(ctx, chain, op, versioned_target, stats, breakdown, undo);
+        execute_chain_op(ctx, chain, op, versioned_target, stats, breakdown, undo);
     }
-    if let Some(t) = t {
-        breakdown.charge(Component::Useful, t.elapsed());
-    }
+    breakdown.charge(Component::Useful, t.elapsed());
     chain.mark_fully_processed();
     stats.chains += 1;
 }
 
-/// Execute a single operation of a chain.
+/// Run one operation of a chain through the state-access kernel — or skip
+/// it, when its transaction already aborted — and advance the chain's
+/// processed watermark.
 ///
 /// Unlike the eager schemes this never takes a lock: the chain structure
 /// already guarantees that the operations of one state are applied by one
-/// thread in timestamp order.
+/// thread in timestamp order.  A depended-upon chain keeps temporary
+/// versions, and a dependency state is by construction depended upon, so it
+/// is always read at the version visible at our timestamp (the committed
+/// value when the batch never wrote it).
+#[inline]
 fn execute_chain_op(
     ctx: &RestructureContext<'_>,
-    op: &tstream_txn::Operation,
+    chain: &OperationChain,
+    op: &Operation,
     versioned_target: bool,
+    stats: &mut ChainStats,
     breakdown: &mut Breakdown,
-    undo: &mut Vec<UndoRecord>,
-) -> Result<(), StateError> {
-    // Slot-resolved operations go straight to their record slot (routing
-    // already paid the index lookup, off the critical path); unresolved ones
-    // pay the keyed lookup here, charged to Others.
-    let classify = ctx.classify_remote;
-    let resolved =
-        op.slot != INVALID_SLOT && (op.dependency.is_none() || op.dep_slot != INVALID_SLOT);
-    let (record, dep_record) = if resolved {
-        (
-            ctx.store.record_at(TableId(op.target.table), op.slot),
-            op.dependency
-                .map(|dep| ctx.store.record_at(TableId(dep.table), op.dep_slot)),
-        )
-    } else {
-        let t_index = classify.then(Instant::now);
-        let record = ctx.store.record(TableId(op.target.table), op.target.key)?;
-        let dep_record = match op.dependency {
-            Some(dep) => Some(ctx.store.record(TableId(dep.table), dep.key)?),
-            None => None,
-        };
-        if let Some(t) = t_index {
-            breakdown.charge(Component::Others, t.elapsed());
-        }
-        (record, dep_record)
-    };
-
-    // Remote classification (and the fine per-op timers that go with it) is
-    // only meaningful when the layout spans sockets; on a single socket the
-    // caller charges Useful at chain granularity instead.
-    let remote = classify
-        && (ctx.env.is_remote(op.target.key)
-            || op.dependency.is_some_and(|d| ctx.env.is_remote(d.key)));
-    let t_access = classify.then(Instant::now);
-    if remote {
-        ctx.env.remote_penalty();
-    }
-
-    // A dependency state is, by construction, depended upon, so its chain is
-    // processed with temporary versions; read the value visible at our
-    // timestamp (falling back to the committed value when the dependency was
-    // not written in this batch at all).
-    let dep_value = dep_record.map(|r| r.read_visible(op.ts));
-
-    let produced = if versioned_target {
-        let current = record.read_visible(op.ts);
-        op.evaluate(&current, dep_value.as_ref())
-    } else {
-        // No temporary versions on this state: evaluate against the committed
-        // value in place instead of cloning it out of the record.
-        record.with_committed(|current| op.evaluate(current, dep_value.as_ref()))
-    };
-    let outcome = match produced {
-        Ok(Some(new_value)) => {
-            // Record the pre-write committed value so the batch can be rolled
-            // back if a multi-write transaction later aborts (Section IV-F).
-            let previous = if versioned_target {
-                let previous = record.read_committed();
-                record.install_version(op.ts, new_value);
-                previous
-            } else {
-                record.write_committed(new_value)
-            };
-            undo.push(UndoRecord {
-                state: op.target,
-                slot: op.slot,
-                ts: op.ts,
-                previous,
-            });
-            Ok(())
-        }
-        Ok(None) => Ok(()),
-        Err(e) => {
-            // The offending update is skipped and the transaction marked
-            // rejected; sibling operations of the same transaction will be
-            // skipped when their chains reach them.  If the transaction has
-            // other operations, some of its writes may already have been
-            // applied in other chains — the batch must then be replayed
-            // serially to restore serial-equivalent semantics.
-            op.blotter.mark_aborted(e.to_string());
-            if op.blotter.slots() > 1 {
-                ctx.abort_log.request_replay();
-            }
-            Err(e)
-        }
-    };
-    if let Some(t) = t_access {
-        let component = if remote {
-            Component::Rma
+    undo: &mut Vec<UndoEntry>,
+) {
+    let plan = AccessPlan {
+        target: if versioned_target {
+            ValueMode::Versioned
         } else {
-            Component::Useful
-        };
-        breakdown.charge(component, t.elapsed());
+            ValueMode::Committed
+        },
+        dependency: ValueMode::Versioned,
+        classify: ctx.classify_remote,
+    };
+    if op.blotter.is_aborted() {
+        stats.skipped += 1;
+    } else if let Err(e) = execute_operation(op, ctx.store, &ctx.env, plan, breakdown, undo) {
+        // The offending operation is skipped and the transaction marked
+        // rejected; sibling operations of the same transaction will be
+        // skipped when their chains reach them.  If the transaction has
+        // other operations, some of its writes may already have been
+        // applied in other chains — the batch must then be replayed
+        // serially to restore serial-equivalent semantics (Section IV-F).
+        op.blotter.mark_aborted(e.to_string());
+        if op.blotter.slots() > 1 {
+            ctx.abort_log.request_replay();
+        }
+        stats.skipped += 1;
+    } else {
+        stats.ops += 1;
     }
-    outcome
+    // Only depended-upon chains ever have their watermark read.
+    if versioned_target {
+        chain.advance_processed(op.ts + 1);
+    }
 }
 
 /// Fold the temporary versions of the given chains' states into their
@@ -660,16 +478,12 @@ fn execute_chain_op(
 /// Must only be called once every executor has finished processing the batch.
 pub fn collapse_versioned(store: &StateStore, chains: &[Arc<OperationChain>]) {
     for chain in chains {
-        let state = chain.state();
         // Every operation of a chain targets the chain's state, so the first
-        // one carries the state's resolved slot (if routing resolved it).
-        let slot = chain.iter().next().map_or(INVALID_SLOT, |op| op.slot);
-        let record = if slot != INVALID_SLOT {
-            Some(store.record_at(TableId(state.table), slot))
-        } else {
-            store.record(TableId(state.table), state.key).ok()
+        // one carries the state's slot.
+        let Some(op) = chain.iter().next() else {
+            continue;
         };
-        if let Some(record) = record {
+        if let Ok(record) = resolve_record(store, op.target, op.slot, None) {
             record.collapse_versions();
         }
     }
@@ -698,7 +512,7 @@ pub struct ReplayStats {
 /// (Section IV-F).  This routine restores exact serial semantics:
 ///
 /// 1. every write applied during the first pass is undone (oldest first per
-///    state, using the [`BatchAbortLog`]'s undo records), restoring the
+///    state, using the [`BatchAbortLog`]'s undo entries), restoring the
 ///    pre-batch committed values;
 /// 2. the result slots and abort flags of every transaction in the batch are
 ///    cleared;
@@ -718,26 +532,18 @@ pub fn replay_batch_serially(
     let mut stats = ReplayStats::default();
 
     // ---- 1. Restore the pre-batch committed values: for every written state
-    // the undo record with the smallest timestamp holds the value it had
-    // before the batch touched it.  The fold runs over a slot-keyed
-    // open-addressing arena recycled across batches, and the restore itself
-    // goes through the resolved record slots — no ordered map, no per-state
-    // index lookup.
+    // the undo entry with the smallest timestamp holds the value it had
+    // before the batch touched it.  The fold runs over an arena recycled
+    // across batches, and the restore itself goes through the resolved
+    // record slots — no ordered map, no per-state index lookup.
     let mut arena = abort_log.replay_arena.lock();
     let undo = abort_log.take_undo();
-    arena.reset(undo.len());
-    for record in undo {
-        arena.note(record);
+    arena.index.reset(undo.len());
+    for entry in undo {
+        arena.note(entry);
     }
     for entry in arena.entries.drain(..) {
-        let record = if entry.slot != INVALID_SLOT {
-            Some(store.record_at(TableId(entry.state.table), entry.slot))
-        } else {
-            store
-                .record(TableId(entry.state.table), entry.state.key)
-                .ok()
-        };
-        if let Some(record) = record {
+        if let Ok(record) = resolve_record(store, entry.target, entry.slot, None) {
             record.discard_versions();
             record.write_committed(entry.previous);
             stats.restored_states += 1;
@@ -758,47 +564,23 @@ pub fn replay_batch_serially(
     let mut ops: Vec<&Operation> = snapshots.iter().flat_map(|chain| chain.iter()).collect();
     ops.sort_unstable_by_key(|op| (op.ts, op.op_index));
 
-    // ---- 3. Re-execute serially in timestamp order with per-transaction
-    // rollback (the shared eager body, inlined over the borrowed
-    // operations).  The per-operation work is charged to the usual breakdown
-    // components by `execute_operation` itself.
-    let mut start = 0;
-    while start < ops.len() {
-        let ts = ops[start].ts;
-        let mut end = start;
-        while end < ops.len() && ops[end].ts == ts {
-            end += 1;
-        }
-        let txn_ops = &ops[start..end];
-        start = end;
-        let blotter = &txn_ops[0].blotter;
-        blotter.reset();
+    // ---- 3. Re-execute serially in timestamp order through the shared
+    // eager body: per-transaction rollback, the usual breakdown charging.
+    for txn_ops in ops.chunk_by(|a, b| a.ts == b.ts) {
+        txn_ops[0].blotter.reset();
         stats.transactions += 1;
-        let mut undo = Vec::with_capacity(txn_ops.len());
-        for op in txn_ops {
-            if let Err(e) =
-                execute_operation(op, store, env, ValueMode::Committed, breakdown, &mut undo)
-            {
-                undo_all(store, &mut undo);
-                blotter.mark_aborted(e.to_string());
-                stats.aborted += 1;
-                break;
-            }
+        let body = execute_transaction_body(
+            txn_ops.iter().copied(),
+            store,
+            env,
+            ValueMode::Committed,
+            breakdown,
+        );
+        if body.is_err() {
+            stats.aborted += 1;
         }
     }
     stats
-}
-
-/// Upper bound on the memory needed for temporary multi-versioning during one
-/// batch, following the paper's formula `N * m * s` (Section IV-C.2): `N`
-/// transactions per punctuation interval, each touching up to `m` states of
-/// size `s` bytes.
-pub fn multiversion_memory_bound(
-    punctuation_interval: usize,
-    max_states_per_txn: usize,
-    state_size_bytes: usize,
-) -> usize {
-    punctuation_interval * max_states_per_txn * state_size_bytes
 }
 
 #[cfg(test)]
@@ -807,7 +589,7 @@ mod tests {
     use crate::chains::ChainPoolSet;
     use crate::config::ChainPlacement;
     use std::sync::Arc;
-    use tstream_state::{StateStore, TableBuilder, Value};
+    use tstream_state::{StateError, StateStore, TableBuilder, TableId, Value};
     use tstream_stream::executor::ExecutorLayout;
     use tstream_stream::operator::StateRef;
     use tstream_txn::TxnBuilder;
@@ -839,14 +621,9 @@ mod tests {
     }
 
     /// Decompose a transaction into the pools (what compute mode does).
-    fn decompose(pools: &ChainPoolSet, txn: &tstream_txn::StateTransaction) {
-        for op in &txn.ops {
-            let chain = pools.chain_for(op.target);
-            if let Some(dep) = op.dependency {
-                chain.add_dependency(dep);
-                pools.chain_for(dep).mark_depended_upon();
-            }
-            chain.insert(op.clone());
+    fn decompose(pools: &ChainPoolSet, txn: tstream_txn::StateTransaction) {
+        for op in txn.ops {
+            pools.chain_for_op(&op).insert(op);
         }
     }
 
@@ -862,7 +639,7 @@ mod tests {
                 Ok(Value::Long(ctx.current.as_long()? + 1))
             });
             let (txn, _) = b.build();
-            decompose(&pools, &txn);
+            decompose(&pools, txn);
         }
         for pool in pools.pools() {
             pool.prepare_tasks();
@@ -926,7 +703,7 @@ mod tests {
                     });
                 }
                 let (txn, _) = b.build();
-                decompose(&pools, &txn);
+                decompose(&pools, txn);
             }
             for pool in pools.pools() {
                 pool.prepare_tasks();
@@ -1000,7 +777,7 @@ mod tests {
             Ok(Value::Long(ctx.current.as_long()? + 1))
         });
         let (txn, blotter) = b.build();
-        decompose(&pools, &txn);
+        decompose(&pools, txn);
         for pool in pools.pools() {
             pool.prepare_tasks();
         }
@@ -1068,7 +845,7 @@ mod tests {
                 add(&mut b, 1, delta);
             }
             let (txn, blotter) = b.build();
-            decompose(&pools, &txn);
+            decompose(&pools, txn);
             blotters.push(blotter);
         }
         for pool in pools.pools() {
@@ -1117,9 +894,87 @@ mod tests {
     }
 
     #[test]
-    fn memory_bound_matches_paper_example() {
-        // Section IV-C.2: interval 500, 4 states of 100 bytes => 200 KB.
-        assert_eq!(multiversion_memory_bound(500, 4, 100), 200_000);
+    fn a_versioned_chain_and_the_serial_body_agree_on_state_and_results() {
+        // Key 0 is read through a dependency, so its chain is processed with
+        // temporary versions; key 1 is written in place.  The same
+        // operations through the serial eager body must leave the same
+        // committed values and the same blotter results.
+        let build = || {
+            (0..8u64)
+                .map(|ts| {
+                    let mut b = TxnBuilder::new(ts);
+                    match ts % 4 {
+                        0 => b.read_modify(0, 0, None, |ctx| {
+                            Ok(Value::Long(ctx.current.as_long()? + 10))
+                        }),
+                        1 => b.read_modify(0, 1, Some(StateRef::new(0, 0)), |ctx| {
+                            Ok(Value::Long(
+                                ctx.current.as_long()? + ctx.dependency.unwrap().as_long()?,
+                            ))
+                        }),
+                        2 => b.read(0, 0),
+                        _ => b.read_modify(0, 0, None, |ctx| {
+                            if ctx.current.as_long()? >= 10 {
+                                Err(StateError::ConsistencyViolation("too rich".into()))
+                            } else {
+                                Ok(Value::Long(0))
+                            }
+                        }),
+                    };
+                    b.build()
+                })
+                .collect::<Vec<_>>()
+        };
+        let results = |blotters: &[tstream_txn::BlotterHandle]| {
+            blotters
+                .iter()
+                .map(|b| (b.is_aborted(), b.result(0)))
+                .collect::<Vec<_>>()
+        };
+
+        let serial_store = store(2);
+        let mut breakdown = Breakdown::new();
+        let (txns, serial_blotters): (Vec<_>, Vec<_>) = build().into_iter().unzip();
+        for txn in &txns {
+            let _ = execute_transaction_body(
+                &txn.ops,
+                &serial_store,
+                &ExecEnv::single(),
+                ValueMode::Committed,
+                &mut breakdown,
+            );
+        }
+
+        let chained_store = store(2);
+        let pools = ChainPoolSet::new(ChainPlacement::SharedNothing, ExecutorLayout::new(1, 10), 1);
+        let (txns, chained_blotters): (Vec<_>, Vec<_>) = build().into_iter().unzip();
+        for txn in txns {
+            decompose(&pools, txn);
+        }
+        assert!(pools
+            .find_chain(StateRef::new(0, 0))
+            .unwrap()
+            .is_depended_upon());
+        let abort_log = BatchAbortLog::new();
+        let mut context = ctx(
+            &pools,
+            &chained_store,
+            &abort_log,
+            DependencyResolution::FineGrained,
+        );
+        context.single_executor = true;
+        let (_, versioned) = process_assigned(
+            &context,
+            pools.assignment(tstream_stream::ExecutorId(0)),
+            &mut breakdown,
+        );
+        assert_eq!(versioned.len(), 1);
+        collapse_versioned(&chained_store, &versioned);
+        assert!(!abort_log.replay_needed(), "single-operation aborts only");
+
+        assert_eq!(chained_store.snapshot(), serial_store.snapshot());
+        assert_eq!(results(&chained_blotters), results(&serial_blotters));
+        assert!(serial_blotters.iter().any(|b| b.is_aborted()));
     }
 
     #[test]

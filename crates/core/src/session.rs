@@ -43,9 +43,8 @@ use tstream_stream::source::BatchBuilder;
 use tstream_txn::{Application, TxnDescriptor};
 
 use crate::adaptive::{AdaptiveConfig, AdaptiveIntervalController, IntervalObservation};
-use crate::engine::{
-    ConflictScratch, Engine, EngineBatch, ExecutorState, RunContext, RunReport, Scheme,
-};
+use crate::chains::StateIndex;
+use crate::engine::{Engine, EngineBatch, ExecutorState, RunContext, RunReport, Scheme};
 use crate::runtime::{ExecutorPool, SessionToken};
 
 /// Payload of a panic caught on a pool worker.
@@ -197,7 +196,7 @@ pub struct Session<'e, A: Application> {
     token: SessionToken,
     shared: Arc<SessionShared<A>>,
     builder: BatchBuilder<A::Payload, TxnDescriptor>,
-    conflict_scratch: ConflictScratch,
+    conflict_scratch: StateIndex,
     started: Option<Instant>,
     pushed: u64,
     jobs_dispatched: u64,
@@ -237,7 +236,7 @@ impl<'e, A: Application> Session<'e, A> {
                 completion: Completion::default(),
             }),
             builder: engine.batch_builder(app, store),
-            conflict_scratch: ConflictScratch::default(),
+            conflict_scratch: StateIndex::default(),
             started: None,
             pushed: 0,
             jobs_dispatched: 0,

@@ -14,8 +14,9 @@
 //! last-N-events timeline instead of a bare re-raised panic.
 //!
 //! The whole layer can be switched off with [`ObsConfig::disabled`]; every
-//! recording call then returns after a single branch, which is what
-//! `bench_snapshot` measures to keep the hub's overhead honest.
+//! recording call then returns after a single branch, which is what the
+//! benchmark's `obs.overhead_frac` measures to keep the hub's overhead
+//! honest.
 
 #![warn(missing_docs)]
 

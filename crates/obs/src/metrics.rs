@@ -7,7 +7,7 @@
 //! allocation, repolint-compatible.  When the hub is built from
 //! [`crate::ObsConfig::disabled`], every recording method returns after one
 //! predictable branch so the disabled engine measures the true cost of the
-//! instrumentation (see `bench_snapshot`'s `observability` section).
+//! instrumentation (the benchmark's `obs.overhead_frac`).
 //!
 //! Series are grouped by runtime layer:
 //!

@@ -32,13 +32,6 @@ impl Sink {
         Self::default()
     }
 
-    /// Creates a sink shard.  The histogram's footprint is fixed, so
-    /// `capacity` is only kept for API compatibility with the old
-    /// Vec-of-samples sink.
-    pub fn with_capacity(_capacity: usize) -> Self {
-        Self::default()
-    }
-
     /// Record a successfully processed event whose arrival instant is known.
     pub fn emit(&mut self, arrival: Instant) {
         self.hist.record(arrival.elapsed());
@@ -213,7 +206,7 @@ mod tests {
 
     #[test]
     fn emit_uses_wall_clock() {
-        let mut sink = Sink::with_capacity(1);
+        let mut sink = Sink::new();
         let arrival = Instant::now();
         std::thread::sleep(Duration::from_millis(2));
         sink.emit(arrival);

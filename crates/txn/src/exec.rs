@@ -1,14 +1,17 @@
-//! Shared operation-execution helpers.
+//! The state-access kernel.
 //!
 //! All schemes ultimately perform the same physical work per operation —
-//! resolve the target record through the table index, read the current (or
-//! timestamp-visible) value, run the user function, apply the write — and
-//! they all charge that work to the same breakdown components.  Centralising
-//! it here keeps the scheme implementations focused on *synchronisation*,
-//! which is what the paper compares.
+//! resolve the target record, read the current (or timestamp-visible) value,
+//! run the user function, apply the write, log it for undo — and they all
+//! charge that work to the same breakdown components.  [`execute_operation`]
+//! is the only place that work happens: the eager bodies, TStream's
+//! conflict-free fast path, its chain evaluation and its serial replay all
+//! run it, so whether a transaction commits can never depend on which of them
+//! executed it.  The schemes stay focused on *synchronisation*, which is what
+//! the paper compares.
 
-use tstream_obs::clock;
-use tstream_state::{StateError, StateResult, StateStore, TableId, Value};
+use tstream_obs::clock::Stopwatch;
+use tstream_state::{Record, StateError, StateResult, StateStore, TableId, Value};
 use tstream_stream::metrics::{Breakdown, Component};
 use tstream_stream::operator::StateRef;
 
@@ -20,165 +23,196 @@ use crate::Timestamp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ValueMode {
     /// Single-version: read and overwrite the committed value directly
-    /// (No-Lock, LOCK, PAT).
+    /// (No-Lock, LOCK, PAT, and TStream chains nothing depends on).
     Committed,
     /// Multi-version: reads pick the version visible at the operation's
     /// timestamp, writes install a new version; the newest version is folded
-    /// into the committed value at the end of the batch (MVLK, and TStream's
+    /// into the committed value at the end of the batch (TStream's
     /// dependency handling).
     Versioned,
 }
 
-/// Undo information for one applied write, so an aborting transaction can
-/// roll back the operations it already applied.
+/// How [`execute_operation`] accesses the two states of one operation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessPlan {
+    /// How the target state is read and written.
+    pub target: ValueMode,
+    /// How the dependency state (if any) is read.
+    pub dependency: ValueMode,
+    /// Whether the operation is classified remote/local and timed on its
+    /// own (two clock reads).  When false nothing is charged here and the
+    /// caller times a whole chain or batch instead.
+    pub classify: bool,
+}
+
+impl AccessPlan {
+    /// The plan of the eager bodies: both states accessed in `mode`, every
+    /// operation classified and timed.
+    pub fn eager(mode: ValueMode) -> Self {
+        AccessPlan {
+            target: mode,
+            dependency: mode,
+            classify: true,
+        }
+    }
+}
+
+/// Undo information for one applied write, so an aborting transaction — or a
+/// whole batch, after a multi-write abort — can be rolled back.
 #[derive(Debug)]
 pub struct UndoEntry {
     /// Which state was written.
     pub target: StateRef,
-    /// Record slot of the written state ([`INVALID_SLOT`] when the write went
-    /// through the keyed index), so rollback and serial replay can restore
-    /// the value without another index lookup.
+    /// Record slot of the written state (see [`resolve_record`]), so rollback
+    /// needs no further index lookup.
     pub slot: u32,
-    /// Committed value before the write (only meaningful in
-    /// [`ValueMode::Committed`]).
-    pub previous: Option<Value>,
-    /// Version timestamp to remove (only meaningful in
-    /// [`ValueMode::Versioned`]).
-    pub version_ts: Option<Timestamp>,
+    /// Timestamp of the writing operation.
+    pub ts: Timestamp,
+    /// Committed value of the state immediately before the write.
+    pub previous: Value,
+    /// Whether the write installed a temporary version at `ts`
+    /// ([`ValueMode::Versioned`]) instead of overwriting the committed value.
+    pub versioned: bool,
 }
 
-/// Execute a single operation.
+/// Resolve a state to its record: straight to the slot when routing resolved
+/// it, through the keyed index otherwise.  An unresolved slot is never wrong,
+/// only slower; with `others` given, that index lookup is charged to
+/// *Others* (a resolved slot leaves no index work to measure).
+#[inline]
+pub fn resolve_record<'s>(
+    store: &'s StateStore,
+    state: StateRef,
+    slot: u32,
+    others: Option<&mut Breakdown>,
+) -> StateResult<&'s Record> {
+    if slot != INVALID_SLOT {
+        return Ok(store.record_at(TableId(state.table), slot));
+    }
+    let t_index = Stopwatch::start_if(others.is_some());
+    let record = store.record(TableId(state.table), state.key);
+    if let Some(breakdown) = others {
+        breakdown.charge(Component::Others, t_index.elapsed());
+    }
+    record
+}
+
+/// Execute a single operation: resolve, read, evaluate, write, log for undo.
 ///
-/// On success, any applied write is appended to `undo`.  Index lookups are
-/// charged to *Others*; the state access itself is charged to *Useful*, or to
-/// *RMA* when the NUMA model classifies the target record as remote to the
-/// executor.
+/// On success, any applied write is appended to `undo`.  On failure — the
+/// user function rejected the access, or a state does not exist — nothing was
+/// written and the caller decides how the transaction aborts.  With
+/// `plan.classify`, the state access is charged to *Useful*, or to *RMA* when
+/// the NUMA model classifies a touched record as remote to the executor.
+///
+/// `#[inline]` because the callers' per-operation loops live in other crates
+/// (chain evaluation, the generic transaction body) and the build has no LTO.
+#[inline]
 pub fn execute_operation(
     op: &Operation,
     store: &StateStore,
     env: &ExecEnv,
-    mode: ValueMode,
+    plan: AccessPlan,
     breakdown: &mut Breakdown,
     undo: &mut Vec<UndoEntry>,
 ) -> StateResult<()> {
-    // Resolve the target and dependency records.  Slot-resolved operations
-    // go straight to the record slot — no shard routing, no index lookup,
-    // and no timer to charge, because there is no index work left to
-    // measure.  Unresolved operations pay the keyed lookup, charged to
-    // *Others* as before.
-    let resolved =
-        op.slot != INVALID_SLOT && (op.dependency.is_none() || op.dep_slot != INVALID_SLOT);
-    let (record, dep_record) = if resolved {
-        (
-            store.record_at(TableId(op.target.table), op.slot),
-            op.dependency
-                .map(|dep| store.record_at(TableId(dep.table), op.dep_slot)),
-        )
-    } else {
-        let t_index = clock::now();
-        let record = store.record(TableId(op.target.table), op.target.key)?;
-        let dep_record = match op.dependency {
-            Some(dep) => Some(store.record(TableId(dep.table), dep.key)?),
-            None => None,
-        };
-        breakdown.charge(Component::Others, t_index.elapsed());
-        (record, dep_record)
+    let record = resolve_record(
+        store,
+        op.target,
+        op.slot,
+        plan.classify.then_some(&mut *breakdown),
+    )?;
+    let dep_record = match op.dependency {
+        Some(dep) => Some(resolve_record(
+            store,
+            dep,
+            op.dep_slot,
+            plan.classify.then_some(&mut *breakdown),
+        )?),
+        None => None,
     };
 
-    // The state access itself.
-    let remote =
-        env.is_remote(op.target.key) || op.dependency.is_some_and(|d| env.is_remote(d.key));
-    let t_access = clock::now();
+    let remote = plan.classify
+        && (env.is_remote(op.target.key) || op.dependency.is_some_and(|d| env.is_remote(d.key)));
+    let t_access = Stopwatch::start_if(plan.classify);
     if remote {
         env.remote_penalty();
     }
-    let dep_value = dep_record.map(|r| match mode {
+    let dep_value = dep_record.map(|r| match plan.dependency {
         ValueMode::Committed => r.read_committed(),
         ValueMode::Versioned => r.read_visible(op.ts),
     });
-    let produced = match mode {
+    let produced = match plan.target {
         // Evaluate against the committed value in place — no clone of the
         // current value just to read it.
         ValueMode::Committed => {
             record.with_committed(|current| op.evaluate(current, dep_value.as_ref()))
         }
-        ValueMode::Versioned => {
-            let current = record.read_visible(op.ts);
-            op.evaluate(&current, dep_value.as_ref())
-        }
+        ValueMode::Versioned => op.evaluate(&record.read_visible(op.ts), dep_value.as_ref()),
     };
-    let outcome = match produced {
-        Ok(Some(new_value)) => {
-            match mode {
-                ValueMode::Committed => {
-                    let previous = record.write_committed(new_value);
-                    undo.push(UndoEntry {
-                        target: op.target,
-                        slot: op.slot,
-                        previous: Some(previous),
-                        version_ts: None,
-                    });
-                }
+    let outcome = produced.map(|produced| {
+        if let Some(new_value) = produced {
+            let (previous, versioned) = match plan.target {
+                ValueMode::Committed => (record.write_committed(new_value), false),
+                // The committed value stays the pre-batch value until the
+                // versions collapse; a batch rollback after that needs it.
                 ValueMode::Versioned => {
+                    let previous = record.read_committed();
                     record.install_version(op.ts, new_value);
-                    undo.push(UndoEntry {
-                        target: op.target,
-                        slot: op.slot,
-                        previous: None,
-                        version_ts: Some(op.ts),
-                    });
+                    (previous, true)
                 }
-            }
-            Ok(())
+            };
+            undo.push(UndoEntry {
+                target: op.target,
+                slot: op.slot,
+                ts: op.ts,
+                previous,
+                versioned,
+            });
         }
-        Ok(None) => Ok(()),
-        Err(e) => Err(e),
-    };
-    let component = if remote {
-        Component::Rma
-    } else {
-        Component::Useful
-    };
-    breakdown.charge(component, t_access.elapsed());
+    });
+    if plan.classify {
+        let component = if remote {
+            Component::Rma
+        } else {
+            Component::Useful
+        };
+        breakdown.charge(component, t_access.elapsed());
+    }
     outcome
 }
 
 /// Roll back previously applied writes, newest first.
 pub fn undo_all(store: &StateStore, undo: &mut Vec<UndoEntry>) {
     while let Some(entry) = undo.pop() {
-        let record = if entry.slot != INVALID_SLOT {
-            Some(store.record_at(TableId(entry.target.table), entry.slot))
-        } else {
-            store
-                .record(TableId(entry.target.table), entry.target.key)
-                .ok()
-        };
-        if let Some(record) = record {
-            if let Some(previous) = entry.previous {
-                record.write_committed(previous);
-            }
-            if let Some(ts) = entry.version_ts {
-                record.remove_version(ts);
+        if let Ok(record) = resolve_record(store, entry.target, entry.slot, None) {
+            if entry.versioned {
+                record.remove_version(entry.ts);
+            } else {
+                record.write_committed(entry.previous);
             }
         }
     }
 }
 
-/// Convenience wrapper: execute every operation of a transaction in issue
-/// order, rolling back on the first failure.
+/// Execute every operation of a transaction in issue order, rolling back on
+/// the first failure.
 ///
 /// This is the body shared by the eager schemes once their synchronisation
-/// has admitted the transaction.
-pub fn execute_transaction_body(
-    ops: &[Operation],
+/// has admitted the transaction, by TStream's conflict-free fast path, and by
+/// its serial replay.
+pub fn execute_transaction_body<'a>(
+    ops: impl IntoIterator<Item = &'a Operation>,
     store: &StateStore,
     env: &ExecEnv,
     mode: ValueMode,
     breakdown: &mut Breakdown,
 ) -> StateResult<()> {
-    let mut undo = Vec::with_capacity(ops.len());
+    let ops = ops.into_iter();
+    let plan = AccessPlan::eager(mode);
+    let mut undo = Vec::with_capacity(ops.size_hint().0);
     for op in ops {
-        if let Err(e) = execute_operation(op, store, env, mode, breakdown, &mut undo) {
+        if let Err(e) = execute_operation(op, store, env, plan, breakdown, &mut undo) {
             undo_all(store, &mut undo);
             op.blotter.mark_aborted(e.to_string());
             return Err(StateError::Aborted {
@@ -193,8 +227,11 @@ pub fn execute_transaction_body(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scheme::NumaModel;
     use crate::transaction::TxnBuilder;
-    use tstream_state::{StateStore, TableBuilder, Value};
+    use std::time::Duration;
+    use tstream_state::TableBuilder;
+    use tstream_stream::executor::{ExecutorId, ExecutorLayout};
 
     fn store() -> std::sync::Arc<StateStore> {
         let t = TableBuilder::new("accounts")
@@ -276,25 +313,164 @@ mod tests {
         );
     }
 
+    /// The kernel over every way it can be asked to run one operation:
+    /// {target committed / visible} × {dependency committed / visible} ×
+    /// {slots resolved / keyed} × {read, write, failing write, missing key}
+    /// × {local / remote executor} × {classified / not}.
     #[test]
-    fn missing_key_is_an_error() {
-        let store = store();
-        let env = ExecEnv::single();
-        let mut b = Breakdown::new();
-        let mut txn = TxnBuilder::new(0);
-        txn.read(0, 999);
-        let (txn, _) = txn.build();
-        let mut undo = Vec::new();
-        let err = execute_operation(
-            &txn.ops[0],
-            &store,
-            &env,
-            ValueMode::Committed,
-            &mut b,
-            &mut undo,
-        )
-        .unwrap_err();
-        assert!(matches!(err, StateError::KeyNotFound { .. }));
+    fn kernel_reads_writes_logs_and_charges_per_plan() {
+        #[derive(Debug, Clone, Copy)]
+        enum Kind {
+            Read,
+            Write,
+            FailingWrite,
+            MissingKey,
+        }
+        const TS: u64 = 5;
+        let two_sockets = ExecEnv {
+            executor: ExecutorId(0),
+            layout: ExecutorLayout::new(20, 10),
+            numa: NumaModel::classify_only(),
+        };
+        let target_key = (0..10u64)
+            .find(|&k| two_sockets.is_remote(k))
+            .expect("some key lives on the other socket");
+        let dep = StateRef::new(0, (target_key + 1) % 10);
+        let modes = [ValueMode::Committed, ValueMode::Versioned];
+        let kinds = [
+            Kind::Read,
+            Kind::Write,
+            Kind::FailingWrite,
+            Kind::MissingKey,
+        ];
+
+        for (target, dependency) in modes.iter().flat_map(|t| modes.map(|d| (*t, d))) {
+            for (resolved, kind) in [true, false].iter().flat_map(|r| kinds.map(|k| (*r, k))) {
+                for (env, classify) in [ExecEnv::single(), two_sockets]
+                    .iter()
+                    .flat_map(|e| [true, false].map(|c| (*e, c)))
+                {
+                    // Both states carry a temporary version below TS, so a
+                    // committed read and a visible read see different values.
+                    let store = store();
+                    let record = store.record(TableId(0), target_key).unwrap();
+                    record.install_version(3, Value::Long(150));
+                    let dep_record = store.record(TableId(0), dep.key).unwrap();
+                    dep_record.write_committed(Value::Long(7));
+                    dep_record.install_version(3, Value::Long(9));
+                    let seen = |mode, committed, visible| match mode {
+                        ValueMode::Committed => committed,
+                        ValueMode::Versioned => visible,
+                    };
+                    let seen_target = seen(target, 100, 150);
+                    let written = seen_target + seen(dependency, 7, 9);
+
+                    let mut b = TxnBuilder::new(TS);
+                    match kind {
+                        Kind::Read => b.read(0, target_key),
+                        Kind::Write => b.read_modify(0, target_key, Some(dep), |ctx| {
+                            Ok(Value::Long(
+                                ctx.current.as_long()? + ctx.dependency.unwrap().as_long()?,
+                            ))
+                        }),
+                        Kind::FailingWrite => b.read_modify(0, target_key, Some(dep), |_| {
+                            Err(StateError::ConsistencyViolation("no".into()))
+                        }),
+                        Kind::MissingKey => {
+                            b.read_modify(0, 999, Some(dep), |ctx| Ok(ctx.current.clone()))
+                        }
+                    };
+                    let (mut txn, blotter) = b.build();
+                    if resolved {
+                        txn.resolve_slots(|s| {
+                            store
+                                .try_slot_of(TableId(s.table), s.key)
+                                .unwrap_or(INVALID_SLOT)
+                        });
+                    }
+                    let op = &txn.ops[0];
+                    let plan = AccessPlan {
+                        target,
+                        dependency,
+                        classify,
+                    };
+                    let remote = env.is_remote(target_key);
+                    let case = format!("{plan:?} resolved={resolved} {kind:?} remote={remote}");
+
+                    let mut breakdown = Breakdown::new();
+                    let mut undo = Vec::new();
+                    let result =
+                        execute_operation(op, &store, &env, plan, &mut breakdown, &mut undo);
+
+                    let untouched = |record: &Record| {
+                        assert_eq!(record.read_committed(), Value::Long(100), "{case}");
+                        assert_eq!(record.read_visible(TS + 1), Value::Long(150), "{case}");
+                    };
+                    match kind {
+                        Kind::Read => {
+                            result.unwrap();
+                            assert_eq!(blotter.result_long(0), seen_target, "{case}");
+                            assert!(undo.is_empty(), "{case}");
+                            untouched(record);
+                        }
+                        Kind::Write => {
+                            result.unwrap();
+                            assert_eq!(blotter.result_long(0), written, "{case}");
+                            let versioned = target == ValueMode::Versioned;
+                            if versioned {
+                                assert_eq!(record.read_committed(), Value::Long(100), "{case}");
+                                assert_eq!(
+                                    record.read_visible(TS + 1),
+                                    Value::Long(written),
+                                    "{case}"
+                                );
+                            } else {
+                                assert_eq!(record.read_committed(), Value::Long(written), "{case}");
+                            }
+                            assert_eq!(undo.len(), 1, "{case}");
+                            let entry = &undo[0];
+                            assert_eq!(
+                                (entry.target, entry.slot, entry.ts, entry.versioned),
+                                (op.target, op.slot, TS, versioned),
+                                "{case}"
+                            );
+                            assert_eq!(entry.previous, Value::Long(100), "{case}");
+                            undo_all(&store, &mut undo);
+                            assert!(undo.is_empty(), "{case}");
+                            untouched(record);
+                        }
+                        Kind::FailingWrite => {
+                            let err = result.unwrap_err();
+                            assert!(matches!(err, StateError::ConsistencyViolation(_)), "{case}");
+                            assert!(undo.is_empty(), "{case}");
+                            untouched(record);
+                        }
+                        Kind::MissingKey => {
+                            let err = result.unwrap_err();
+                            assert!(matches!(err, StateError::KeyNotFound { .. }), "{case}");
+                            assert!(undo.is_empty(), "{case}");
+                        }
+                    }
+
+                    // Others only for an index lookup, RMA only when
+                    // classified remote, nothing at all when not classified.
+                    let keyed = !resolved || matches!(kind, Kind::MissingKey);
+                    let accessed = !matches!(kind, Kind::MissingKey);
+                    let charged = |d: Duration| d > Duration::ZERO;
+                    assert_eq!(charged(breakdown.others), classify && keyed, "{case}");
+                    assert_eq!(
+                        charged(breakdown.rma),
+                        classify && accessed && remote,
+                        "{case}"
+                    );
+                    assert_eq!(
+                        charged(breakdown.useful),
+                        classify && accessed && !remote,
+                        "{case}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

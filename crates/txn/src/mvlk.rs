@@ -24,6 +24,7 @@ use tstream_state::{StateStore, TableId, Value};
 use tstream_stream::metrics::{Breakdown, Component, ComponentTimer};
 use tstream_stream::operator::{AccessMode, StateRef};
 
+use crate::exec::resolve_record;
 use crate::outcome::TxnOutcome;
 use crate::scheme::{EagerScheme, ExecEnv, TxnDescriptor};
 use crate::transaction::StateTransaction;
@@ -121,7 +122,7 @@ impl EagerScheme for MvlkScheme {
         let mut planned: Vec<Option<Value>> = Vec::with_capacity(txn.ops.len());
         for op in &txn.ops {
             let slot = plan.slots.get(&op.target).copied().unwrap_or_default();
-            let record = match store.record(TableId(op.target.table), op.target.key) {
+            let record = match resolve_record(store, op.target, op.slot, None) {
                 Ok(r) => r,
                 Err(e) => {
                     failure = Some(e.to_string());
@@ -135,7 +136,7 @@ impl EagerScheme for MvlkScheme {
             let t = ComponentTimer::start();
             record.write_gate().wait_at_least(slot.prior_writes);
             let dep_record = match op.dependency {
-                Some(dep) => match store.record(TableId(dep.table), dep.key) {
+                Some(dep) => match resolve_record(store, dep, op.dep_slot, None) {
                     Ok(r) => {
                         let dep_prior = plan.slots.get(&dep).map(|s| s.prior_writes).unwrap_or(0);
                         r.write_gate().wait_at_least(dep_prior);
@@ -189,7 +190,7 @@ impl EagerScheme for MvlkScheme {
             if !op.is_write() {
                 continue;
             }
-            let Ok(record) = store.record(TableId(op.target.table), op.target.key) else {
+            let Ok(record) = resolve_record(store, op.target, op.slot, None) else {
                 continue;
             };
             let slot = plan.slots.get(&op.target).copied().unwrap_or_default();

@@ -31,6 +31,7 @@ use tstream_state::{StateStore, TableId, Value};
 use tstream_stream::metrics::{Breakdown, Component, ComponentTimer};
 use tstream_stream::operator::StateRef;
 
+use crate::exec::resolve_record;
 use crate::outcome::TxnOutcome;
 use crate::scheme::{EagerScheme, ExecEnv, TxnDescriptor};
 use crate::transaction::StateTransaction;
@@ -133,7 +134,7 @@ impl OccScheme {
         for op in &txn.ops {
             let committed = match local.get(&op.target) {
                 Some(v) => v.clone(),
-                None => match store.record(TableId(op.target.table), op.target.key) {
+                None => match resolve_record(store, op.target, op.slot, None) {
                     Ok(r) => r.read_committed(),
                     Err(e) => {
                         t.stop(breakdown, Component::Useful);
@@ -144,8 +145,7 @@ impl OccScheme {
             let dep_value = match op.dependency {
                 Some(dep) => match local.get(&dep) {
                     Some(v) => Some(v.clone()),
-                    None => store
-                        .record(TableId(dep.table), dep.key)
+                    None => resolve_record(store, dep, op.dep_slot, None)
                         .ok()
                         .map(|r| r.read_committed()),
                 },

@@ -31,11 +31,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::Mutex;
-use tstream_state::{StateStore, TableId};
+use tstream_state::StateStore;
 use tstream_stream::metrics::{Breakdown, Component, ComponentTimer};
 use tstream_stream::operator::StateRef;
 
-use crate::exec::undo_all;
+use crate::exec::{resolve_record, undo_all, UndoEntry};
 use crate::outcome::TxnOutcome;
 use crate::scheme::{EagerScheme, ExecEnv, TxnDescriptor};
 use crate::transaction::StateTransaction;
@@ -176,7 +176,7 @@ impl ToScheme {
 
             // ---- Apply the operation against the committed value.
             let t = ComponentTimer::start();
-            let record = match store.record(TableId(op.target.table), op.target.key) {
+            let record = match resolve_record(store, op.target, op.slot, None) {
                 Ok(r) => r,
                 Err(e) => {
                     t.stop(breakdown, Component::Others);
@@ -185,8 +185,7 @@ impl ToScheme {
                 }
             };
             let dep_value = op.dependency.and_then(|dep| {
-                store
-                    .record(TableId(dep.table), dep.key)
+                resolve_record(store, dep, op.dep_slot, None)
                     .ok()
                     .map(|r| r.read_committed())
             });
@@ -194,11 +193,12 @@ impl ToScheme {
             match op.evaluate(&current, dep_value.as_ref()) {
                 Ok(Some(new_value)) => {
                     let previous = record.write_committed(new_value);
-                    undo.push(crate::exec::UndoEntry {
+                    undo.push(UndoEntry {
                         target: op.target,
                         slot: op.slot,
-                        previous: Some(previous),
-                        version_ts: None,
+                        ts: op.ts,
+                        previous,
+                        versioned: false,
                     });
                 }
                 Ok(None) => {}
@@ -287,7 +287,7 @@ mod tests {
     use super::*;
     use crate::transaction::TxnBuilder;
     use std::sync::Arc;
-    use tstream_state::{StateStore, TableBuilder, Value};
+    use tstream_state::{StateStore, TableBuilder, TableId, Value};
 
     fn store(keys: u64) -> Arc<StateStore> {
         let t = TableBuilder::new("t")

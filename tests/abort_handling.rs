@@ -15,7 +15,7 @@ use std::sync::Arc;
 use tstream_apps::workload::WorkloadSpec;
 use tstream_apps::{gs, ob, sl, AppKind, RunOptions, SchemeKind};
 use tstream_core::{Engine, EngineConfig, Scheme};
-use tstream_state::{StateStore, TableBuilder, TableId, Value};
+use tstream_state::{StateStore, StoreSnapshot, TableBuilder, TableId, Value};
 
 /// OB store with only `qty` units of every item, so bids quickly exhaust the
 /// inventory and later bids must be rejected.
@@ -209,6 +209,60 @@ fn multi_write_abort_spanning_two_shards_restores_both_shards() {
         before_shard1,
         "shard 1 must be restored to its pre-batch state"
     );
+}
+
+#[test]
+fn missing_key_in_a_multi_write_transaction_rejects_identically_on_every_path() {
+    // An Alter naming an item that does not exist must abort as a whole,
+    // whichever way TStream executes the batch: restructured into chains (the
+    // second Alter shares item 0 with it) or on the conflict-free fast path
+    // (the second Alter shares nothing).  Serial No-Lock is the reference.
+    let spec = WorkloadSpec::default().keys(64).seed(79);
+    let app = Arc::new(ob::OnlineBidding);
+    let run = |engine: EngineConfig, scheme: &Scheme, events: Vec<ob::ObEvent>, offline| {
+        let store = ob::build_store(&spec);
+        let engine = Engine::new(engine.punctuation(10));
+        let report = if offline {
+            engine.run_offline(&app, &store, events, scheme)
+        } else {
+            engine.run(&app, &store, events, scheme)
+        };
+        (report, StoreSnapshot::capture(&store))
+    };
+
+    for (second_items, conflict_free) in [(vec![0u64, 3], false), (vec![4u64, 3], true)] {
+        let events = vec![
+            ob::ObEvent::Alter {
+                items: vec![0, 1, 9_999_999, 2],
+                prices: vec![210, 211, 212, 213],
+            },
+            ob::ObEvent::Alter {
+                items: second_items,
+                prices: vec![220, 221],
+            },
+        ];
+        let (reference, reference_snapshot) = run(
+            EngineConfig::with_executors(1),
+            &SchemeKind::NoLock.build(1),
+            events.clone(),
+            true,
+        );
+        assert_eq!((reference.committed, reference.rejected), (1, 1));
+
+        for executors in [1usize, 2] {
+            let (report, snapshot) = run(
+                EngineConfig::with_executors(executors),
+                &Scheme::TStream,
+                events.clone(),
+                false,
+            );
+            let ctx = format!("{executors} executors, conflict-free: {conflict_free}");
+            assert_eq!(report.fast_path_batches > 0, conflict_free, "{ctx}");
+            assert_eq!(report.committed, reference.committed, "committed: {ctx}");
+            assert_eq!(report.rejected, reference.rejected, "rejected: {ctx}");
+            assert_eq!(snapshot, reference_snapshot, "snapshot: {ctx}");
+        }
+    }
 }
 
 #[test]
