@@ -27,9 +27,30 @@ pub const RECORD_TABLE: u32 = 0;
 /// Width of the stored value strings (the paper's 32-byte values).
 pub const VALUE_WIDTH: usize = 32;
 
-/// Encode a number as a fixed-width record string.
-pub fn encode_value(v: i64) -> String {
-    format!("{v:<VALUE_WIDTH$}")
+/// Encode a number as a fixed-width record string: its decimal digits,
+/// left-aligned and space-padded (`format!("{v:<32}")`), laid out in a stack
+/// buffer so the shared string is the only allocation.
+pub fn encode_value(v: i64) -> Arc<str> {
+    let mut digits = [0u8; 20];
+    let mut at = digits.len();
+    let mut rest = v.unsigned_abs();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+        if rest == 0 {
+            break;
+        }
+    }
+    if v < 0 {
+        at -= 1;
+        digits[at] = b'-';
+    }
+    let mut record = [b' '; VALUE_WIDTH];
+    record[..digits.len() - at].copy_from_slice(&digits[at..]);
+    std::str::from_utf8(&record)
+        .expect("digits, sign and padding are ASCII")
+        .into()
 }
 
 /// Decode a fixed-width record string back into a number.
@@ -93,6 +114,7 @@ impl Application for GrepSum {
     }
 
     fn state_access(&self, e: &GsEvent, txn: &mut Txn) {
+        txn.reserve(e.keys.len());
         match &e.writes {
             None => {
                 for &k in &e.keys {
@@ -101,24 +123,19 @@ impl Application for GrepSum {
             }
             Some(values) => {
                 for (&k, &v) in e.keys.iter().zip(values) {
-                    // Encode during decomposition (compute mode): the state
-                    // access then installs the prepared record with a
-                    // refcount bump instead of formatting under the access
-                    // timer.
-                    let encoded = if v < 0 {
-                        Value::Null
-                    } else {
-                        Value::Str(encode_value(v).into())
-                    };
-                    txn.write_with(RECORD_TABLE, k, None, move |_ctx| {
-                        if v < 0 {
+                    if v < 0 {
+                        txn.write_with(RECORD_TABLE, k, None, |_ctx| {
                             Err(StateError::ConsistencyViolation(
                                 "GS records must be non-negative".into(),
                             ))
-                        } else {
-                            Ok(encoded.clone())
-                        }
-                    });
+                        });
+                    } else {
+                        // Encode during decomposition (compute mode): the
+                        // state access then installs the prepared record
+                        // with a refcount bump instead of formatting under
+                        // the access timer.
+                        txn.write_value(RECORD_TABLE, k, Value::Str(encode_value(v)));
+                    }
                 }
             }
         }
@@ -132,10 +149,8 @@ impl Application for GrepSum {
             // The Sum operator: add up the grep'd values.
             let mut sum = 0i64;
             for i in 0..e.keys.len() {
-                if let Some(v) = blotter.result(i) {
-                    if let Ok(s) = v.as_str() {
-                        sum = sum.wrapping_add(decode_value(s));
-                    }
+                if let Some(Ok(n)) = blotter.with_result(i, |v| v.as_str().map(decode_value)) {
+                    sum = sum.wrapping_add(n);
                 }
             }
             // The sum is emitted as one event to the sink; the engine's sink
@@ -154,7 +169,7 @@ pub fn build_store(spec: &WorkloadSpec) -> Arc<StateStore> {
         .extend((0..spec.keys).map(|k| {
             (
                 k,
-                Value::Str(encode_value(rng.next_below(1_000_000) as i64).into()),
+                Value::Str(encode_value(rng.next_below(1_000_000) as i64)),
             )
         }))
         .build_sharded(spec.shards)
@@ -237,9 +252,9 @@ mod tests {
 
     #[test]
     fn value_encoding_round_trips() {
-        for v in [0i64, 1, 999_999, 42] {
+        for v in [0i64, 1, 999_999, 42, -7, i64::MAX, i64::MIN] {
             let s = encode_value(v);
-            assert_eq!(s.len(), VALUE_WIDTH);
+            assert_eq!(&*s, format!("{v:<VALUE_WIDTH$}"));
             assert_eq!(decode_value(&s), v);
         }
         assert_eq!(decode_value("garbage"), 0);

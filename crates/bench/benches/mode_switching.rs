@@ -1,7 +1,7 @@
 //! Micro-bench of the dual-mode switching machinery: the cost of one
-//! barrier-synchronised mode switch across N threads, and of recycling chain
-//! pools — the overhead the punctuation interval amortises (Section IV-E,
-//! "Transaction Batching").
+//! barrier-synchronised mode switch across N threads, and of freezing and
+//! clearing chain pools — the overhead the punctuation interval amortises
+//! (Section IV-E, "Transaction Batching").
 
 use std::sync::Arc;
 
@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tstream_core::{ChainPlacement, ChainPoolSet};
 use tstream_stream::barrier::CyclicBarrier;
 use tstream_stream::executor::ExecutorLayout;
-use tstream_stream::operator::StateRef;
+use tstream_txn::TxnBuilder;
 
 fn bench_barrier_round(c: &mut Criterion) {
     let mut group = c.benchmark_group("mode_switch_barrier_round");
@@ -41,7 +41,7 @@ fn bench_barrier_round(c: &mut Criterion) {
 }
 
 fn bench_pool_recycling(c: &mut Criterion) {
-    let mut group = c.benchmark_group("chain_pool_prepare_and_clear");
+    let mut group = c.benchmark_group("chain_pool_freeze_and_clear");
     for &chains in &[500usize, 5_000] {
         group.bench_with_input(
             BenchmarkId::from_parameter(chains),
@@ -51,13 +51,15 @@ fn bench_pool_recycling(c: &mut Criterion) {
                     ChainPoolSet::new(ChainPlacement::SharedNothing, ExecutorLayout::new(8, 10), 8);
                 b.iter(|| {
                     for k in 0..chains as u64 {
-                        pools.chain_for(StateRef::new(0, k));
+                        let mut txn = TxnBuilder::new(k);
+                        txn.read(0, k);
+                        for op in txn.build().0.ops {
+                            pools.chain_for(op.target).insert(op);
+                        }
                     }
-                    for pool in pools.pools() {
-                        pool.prepare_tasks();
-                    }
+                    let built = pools.total_chains();
                     pools.clear_all();
-                    pools.total_chains()
+                    built
                 })
             },
         );

@@ -354,8 +354,8 @@ fn open_durable<'e, A: Application>(
         snapshot.restore(store)?;
     }
     let mut log = recovered.log;
-    // Full group-commit windows flush on the engine's spawn-once WAL-writer
-    // thread instead of the ingestion thread.
+    // Full group-commit windows that the policy syncs flush on the engine's
+    // spawn-once WAL-writer thread instead of the ingestion thread.
     log.attach_group_executor(Arc::new(engine.pool().wal_writer(engine.obs())));
     let mut session = Session::open(
         engine,

@@ -1,15 +1,31 @@
 //! Operation chains and their placement pools.
 //!
 //! During *compute mode* every postponed state transaction is decomposed into
-//! operations, and each operation is inserted into the **operation chain** of
-//! its target state: a timestamp-ordered list tied to exactly one state
-//! (Section IV-C.1, Figure 4).  Chains are backed by the concurrent skip list
-//! so multiple executors can insert simultaneously while preserving order.
+//! operations and each operation is **filed** under its target state
+//! (Section IV-C.1, Figure 4).  Filing is an append: a pool is a handful of
+//! append-only logs (*lanes*), the lane chosen by the state's hash, so one
+//! state always lands in one lane while inserters on several executors
+//! spread over the lanes.  Nothing is looked up and nothing exists per state:
+//! a batch of thousands of short chains costs sequential writes, not one cold
+//! bucket, object and buffer per state.
 //!
-//! Chains live in **pools**; how many pools exist and which executors insert
-//! into / process which pool is decided by the NUMA-aware placement policy
-//! (Section IV-E): shared-nothing (one pool per executor), shared-everything
-//! (one global pool) or shared-per-socket (one pool per synthetic socket).
+//! At TXN_START the pool is **frozen** once: the logs are taken out of their
+//! mutexes and one sort by `(state, ts, op_index)` groups them.  An
+//! **operation chain** — the timestamp-ordered operations of one state — is
+//! then a contiguous run of that order, described by one entry of a dense,
+//! state-sorted vector.  State-access mode reads only the frozen runs:
+//! claiming a share of the chains, walking a chain, finding the chain of a
+//! dependency (binary search over the runs), the last write before a
+//! timestamp (binary search inside a run), the serial replay and the
+//! per-shard accounting.  The first read after filing performs the freeze
+//! (the engine's leader does it at TXN_START); filing into a frozen pool is a
+//! bug and panics.  `clear` empties logs and runs and keeps their capacity,
+//! so in steady state filing, freezing and clearing allocate nothing.
+//!
+//! How many pools exist and which executors insert into / process which pool
+//! is decided by the NUMA-aware placement policy (Section IV-E):
+//! shared-nothing (one pool per executor), shared-everything (one global
+//! pool) or shared-per-socket (one pool per synthetic socket).
 //!
 //! Pool routing is **shard-aware**: a state's pool is derived from the shard
 //! the state store assigns its key to (the same [`ShardRouter`] the store
@@ -19,77 +35,16 @@
 //! fixed, disjoint pool subset.  `num_shards == 1` reproduces the seed's pure
 //! hash spreading.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
-use tstream_skiplist::ConcurrentSkipList;
+use parking_lot::Mutex;
 use tstream_state::{ShardId, ShardRouter, Timestamp, MAX_SHARDS};
 use tstream_stream::executor::{ExecutorId, ExecutorLayout};
 use tstream_stream::operator::StateRef;
 use tstream_txn::Operation;
 
 use crate::config::ChainPlacement;
-
-/// Ordering key of an operation within a chain: `(timestamp, op index)` —
-/// unique even if a transaction touches the same state twice.
-pub type ChainKey = (Timestamp, u32);
-
-/// `BuildHasher` for the pool shard maps: an Fx-style multiplicative word
-/// hash.  `StateRef` keys are a pair of machine words on the per-operation
-/// routing hot path, where the default SipHash costs more than the map probe
-/// itself; hash flooding is no concern for keys the applications themselves
-/// generate.
-#[derive(Debug, Default, Clone)]
-struct FxBuildHasher;
-
-impl std::hash::BuildHasher for FxBuildHasher {
-    type Hasher = FxHasher;
-
-    #[inline]
-    fn build_hasher(&self) -> FxHasher {
-        FxHasher(0)
-    }
-}
-
-#[derive(Debug)]
-struct FxHasher(u64);
-
-const FX_SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-
-impl FxHasher {
-    #[inline]
-    fn add(&mut self, word: u64) {
-        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(FX_SEED);
-    }
-}
-
-impl std::hash::Hasher for FxHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut buf = [0u8; 8];
-            buf[..chunk.len()].copy_from_slice(chunk);
-            self.add(u64::from_le_bytes(buf));
-        }
-    }
-
-    #[inline]
-    fn write_u32(&mut self, n: u32) {
-        self.add(u64::from(n));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, n: u64) {
-        self.add(n);
-    }
-}
 
 /// Recycled open-addressing index from states to a small payload, sized to
 /// the batch and reused across batches so it allocates nothing in steady
@@ -154,180 +109,332 @@ impl StateIndex {
 /// Sentinel meaning "every operation of this chain has been processed".
 const FULLY_PROCESSED: u64 = u64::MAX;
 
-/// A timestamp-ordered list of operations targeting one state.
+/// Logs per pool: enough that inserters on different executors rarely meet
+/// on one mutex, few enough for [`Filed::lane`].
+const LANES: usize = 32;
+const _: () = assert!(LANES <= 1 << u8::BITS);
+
+const FILED_INTO_FROZEN: &str =
+    "operation filed into a frozen chain pool: its batch is already being evaluated";
+
+/// One append-only log of a pool.
+#[derive(Debug, Default)]
+struct Lane {
+    ops: Vec<Operation>,
+    /// States of this lane that an operation elsewhere depends on.
+    depended_upon: Vec<StateRef>,
+    /// Set by the freeze, reset by `clear`.
+    frozen: bool,
+}
+
+/// Where a pool files the operations of one state during compute mode: the
+/// state's lane.  What [`ChainPool::chain_for`] hands out.
 #[derive(Debug)]
-pub struct OperationChain {
+pub struct ChainSlot<'a> {
+    lane: &'a Mutex<Lane>,
     state: StateRef,
-    ops: ConcurrentSkipList<ChainKey, Operation>,
-    /// Set when some operation in *another* chain declares a dependency on
-    /// this chain's state — processing then keeps temporary versions so
-    /// dependent reads observe timestamp-consistent values.
-    depended_upon: AtomicBool,
-    /// Mirror of `!dependencies.is_empty()`, readable without the lock: the
-    /// schedulers test this once per chain on the processing hot path.
-    has_deps: AtomicBool,
-    /// States this chain's operations depend on (chain-level dependency
-    /// edges, used by the round-based scheduler).
-    dependencies: Mutex<Vec<StateRef>>,
-    /// All operations with `ts < processed_upto` have been applied.
-    /// `u64::MAX` once the whole chain is done.
+}
+
+impl ChainSlot<'_> {
+    /// File a decomposed operation (concurrent: one short lock on the lane).
+    ///
+    /// # Panics
+    /// When the pool is frozen — the operation would otherwise vanish from,
+    /// or tear, a batch that executors are already evaluating.
+    pub fn insert(&self, op: Operation) {
+        debug_assert_eq!(op.target, self.state, "filed under a foreign state");
+        let mut lane = self.lane.lock();
+        assert!(!lane.frozen, "{FILED_INTO_FROZEN}");
+        lane.ops.push(op);
+    }
+
+    /// Mark that another chain depends on this state: its chain is then
+    /// processed with temporary versions so dependent reads observe
+    /// timestamp-consistent values.  A mark on a state nothing is filed
+    /// under has no chain to flag and is dropped at the freeze.
+    pub fn mark_depended_upon(&self) {
+        let mut lane = self.lane.lock();
+        assert!(!lane.frozen, "{FILED_INTO_FROZEN}");
+        if lane.depended_upon.last() != Some(&self.state) {
+            lane.depended_upon.push(self.state);
+        }
+    }
+
+    /// Declare that an operation of this state depends on `dep`.  The edge
+    /// travels with the operation itself ([`Operation::dependency`]) and is
+    /// read off it at the freeze, so there is nothing to record here; the
+    /// method keeps decomposition loops written against per-chain objects
+    /// compiling.
+    pub fn add_dependency(&self, _dep: StateRef) {}
+}
+
+/// One filed operation in the frozen order: its sort key, where its body
+/// lies in the logs, and the two facts the schedulers ask of an operation
+/// without touching the body.
+#[derive(Debug, Clone, Copy)]
+struct Filed {
+    table: u32,
+    op_index: u32,
+    key: u64,
+    ts: Timestamp,
+    pos: u32,
+    lane: u8,
+    write: bool,
+    depends: bool,
+}
+
+/// One chain of a frozen pool: the run `start..end` of [`Frozen::order`].
+#[derive(Debug)]
+struct Run {
+    state: StateRef,
+    start: u32,
+    end: u32,
+    /// Some operation in *another* chain declared a dependency on this
+    /// state.
+    depended_upon: bool,
+    /// Some operation of this chain declares a dependency.
+    has_deps: bool,
+    /// All operations with `ts < processed_upto` have been applied;
+    /// [`FULLY_PROCESSED`] once the whole chain is done.
     processed_upto: AtomicU64,
 }
 
-impl OperationChain {
-    /// Creates an empty chain for `state`.
-    pub fn new(state: StateRef) -> Self {
-        OperationChain {
-            state,
-            ops: ConcurrentSkipList::new(),
-            depended_upon: AtomicBool::new(false),
-            has_deps: AtomicBool::new(false),
-            dependencies: Mutex::new(Vec::new()),
-            processed_upto: AtomicU64::new(0),
+/// A pool's batch after the freeze.
+#[derive(Debug, Default)]
+struct Frozen {
+    /// The lanes' logs, swapped out of their mutexes.
+    logs: Vec<Vec<Operation>>,
+    /// Every filed operation, sorted by `(state, ts, op_index)`.
+    order: Vec<Filed>,
+    /// One entry per distinct state, sorted by state.
+    runs: Vec<Run>,
+    /// Scratch of the freeze: the lanes' depended-upon marks.
+    marks: Vec<StateRef>,
+    /// Claim cursor of a work-stealing group.
+    next_task: AtomicUsize,
+}
+
+impl Frozen {
+    /// Take the batch out of `lanes` and group it into chains.
+    fn freeze(&mut self, lanes: &[Mutex<Lane>]) {
+        self.logs.resize_with(lanes.len(), Vec::new);
+        for (lane, log) in lanes.iter().zip(&mut self.logs) {
+            let mut lane = lane.lock();
+            lane.frozen = true;
+            std::mem::swap(&mut lane.ops, log);
+            self.marks.append(&mut lane.depended_upon);
         }
+        let filed: usize = self.logs.iter().map(Vec::len).sum();
+        assert!(
+            u32::try_from(filed).is_ok(),
+            "a batch files at most u32::MAX operations into one pool"
+        );
+        self.order.reserve(filed);
+        for (lane, log) in self.logs.iter().enumerate() {
+            self.order
+                .extend(log.iter().enumerate().map(|(pos, op)| Filed {
+                    table: op.target.table,
+                    op_index: op.op_index,
+                    key: op.target.key,
+                    ts: op.ts,
+                    pos: pos as u32,
+                    lane: lane as u8,
+                    write: op.is_write(),
+                    depends: op.dependency.is_some(),
+                }));
+        }
+        self.order
+            .sort_unstable_by_key(|f| (f.table, f.key, f.ts, f.op_index));
+        let mut start = 0u32;
+        for run in self
+            .order
+            .chunk_by(|a, b| (a.table, a.key) == (b.table, b.key))
+        {
+            debug_assert!(
+                run.windows(2)
+                    .all(|w| (w[0].ts, w[0].op_index) != (w[1].ts, w[1].op_index)),
+                "chain keys (ts, op_index) are unique within a batch"
+            );
+            let end = start + run.len() as u32;
+            self.runs.push(Run {
+                state: StateRef::new(run[0].table, run[0].key),
+                start,
+                end,
+                depended_upon: false,
+                has_deps: run.iter().any(|f| f.depends),
+                processed_upto: AtomicU64::new(0),
+            });
+            start = end;
+        }
+        for state in self.marks.drain(..) {
+            if let Ok(run) = self.runs.binary_search_by_key(&state, |r| r.state) {
+                self.runs[run].depended_upon = true;
+            }
+        }
+    }
+
+    /// Forget the batch, keeping every buffer's capacity.
+    fn clear(&mut self) {
+        self.logs.iter_mut().for_each(Vec::clear);
+        self.order.clear();
+        self.runs.clear();
+        *self.next_task.get_mut() = 0;
+    }
+
+    fn chain<'a>(&'a self, run: &'a Run) -> OperationChain<'a> {
+        OperationChain { frozen: self, run }
+    }
+}
+
+/// The frozen chains of one pool — what state-access mode reads.  Holding
+/// one keeps the batch's buffers from being recycled, so drop it before the
+/// pool is cleared.
+#[derive(Debug)]
+pub struct FrozenPool(Arc<Frozen>);
+
+impl FrozenPool {
+    /// Number of chains (distinct states filed under).
+    pub fn len(&self) -> usize {
+        self.0.runs.len()
+    }
+
+    /// Whether nothing was filed.
+    pub fn is_empty(&self) -> bool {
+        self.0.runs.is_empty()
+    }
+
+    /// Every chain, in state order.
+    pub fn chains(&self) -> impl ExactSizeIterator<Item = OperationChain<'_>> {
+        self.0.runs.iter().map(|run| self.0.chain(run))
+    }
+
+    /// The chain of `state`, if anything was filed under it.
+    pub fn find(&self, state: StateRef) -> Option<OperationChain<'_>> {
+        let run = self.0.runs.binary_search_by_key(&state, |r| r.state).ok()?;
+        Some(self.0.chain(&self.0.runs[run]))
+    }
+
+    /// Every filed operation, in no particular order.
+    pub fn operations(&self) -> impl Iterator<Item = &Operation> {
+        self.0.logs.iter().flatten()
+    }
+
+    /// Claim the next unclaimed chain (work-stealing style); `None` when
+    /// every chain is taken.
+    pub fn claim_next(&self) -> Option<OperationChain<'_>> {
+        let idx = self.0.next_task.fetch_add(1, Ordering::AcqRel);
+        self.0.runs.get(idx).map(|run| self.0.chain(run))
+    }
+}
+
+/// A timestamp-ordered list of operations targeting one state: one run of a
+/// frozen pool.
+#[derive(Debug, Clone, Copy)]
+pub struct OperationChain<'a> {
+    frozen: &'a Frozen,
+    run: &'a Run,
+}
+
+impl<'a> OperationChain<'a> {
+    fn entries(&self) -> &'a [Filed] {
+        &self.frozen.order[self.run.start as usize..self.run.end as usize]
+    }
+
+    fn body(&self, filed: &Filed) -> &'a Operation {
+        &self.frozen.logs[filed.lane as usize][filed.pos as usize]
     }
 
     /// The state this chain targets.
     pub fn state(&self) -> StateRef {
-        self.state
+        self.run.state
     }
 
-    /// Insert a decomposed operation (concurrent, lock-free).
-    ///
-    /// Batch events are decomposed in timestamp order, so in the common case
-    /// this is an O(1) append onto the chain's tail (the skip list's append
-    /// fast path); out-of-order keys — a replay tail interleaving with fresh
-    /// events — fall back to a sorted insertion.
-    pub fn insert(&self, op: Operation) {
-        let key = (op.ts, op.op_index);
-        let inserted = self.ops.insert(key, op);
-        debug_assert!(
-            inserted,
-            "chain keys (ts, op_index) are unique within a batch"
-        );
-    }
-
-    /// Number of operations currently in the chain.
+    /// Number of operations in the chain (never zero).
     pub fn len(&self) -> usize {
-        self.ops.len()
+        self.entries().len()
     }
 
-    /// Whether the chain holds no operations.
+    /// Whether the chain holds no operations (it never does: a state with
+    /// nothing filed under it has no chain).
     pub fn is_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.entries().is_empty()
     }
 
     /// Iterate operations in timestamp order.
-    pub fn iter(&self) -> impl Iterator<Item = &Operation> {
-        self.ops.iter().map(|(_, op)| op)
+    pub fn iter(&self) -> impl Iterator<Item = &'a Operation> + 'a {
+        let chain = *self;
+        self.entries().iter().map(move |filed| chain.body(filed))
     }
 
-    /// Mark that another chain depends on this chain's state.
-    pub fn mark_depended_upon(&self) {
-        self.depended_upon.store(true, Ordering::Release);
+    /// The `index`-th operation in timestamp order.
+    pub fn get(&self, index: usize) -> Option<&'a Operation> {
+        self.entries().get(index).map(|filed| self.body(filed))
     }
 
     /// Whether any other chain depends on this chain's state.
     pub fn is_depended_upon(&self) -> bool {
-        self.depended_upon.load(Ordering::Acquire)
+        self.run.depended_upon
     }
 
-    /// Record that this chain contains an operation depending on `dep`.
-    pub fn add_dependency(&self, dep: StateRef) {
-        let mut deps = self.dependencies.lock();
-        if !deps.contains(&dep) {
-            deps.push(dep);
-        }
-        self.has_deps.store(true, Ordering::Release);
-    }
-
-    /// Distinct states this chain depends on.
-    pub fn dependencies(&self) -> Vec<StateRef> {
-        self.dependencies.lock().clone()
-    }
-
-    /// Whether this chain declares any dependency.  Lock-free: the schedulers
-    /// ask this once per chain while routing work.
+    /// Whether this chain declares any dependency.
     pub fn has_dependencies(&self) -> bool {
-        self.has_deps.load(Ordering::Acquire)
+        self.run.has_deps
     }
 
     /// Timestamp of the latest *write* operation strictly before `ts`, if
     /// any.  A dependent reader at `ts` must wait until this chain has
     /// advanced past it.
     pub fn last_write_before(&self, ts: Timestamp) -> Option<Timestamp> {
-        let mut last = None;
-        for (key, op) in self.ops.iter() {
-            if key.0 >= ts {
-                break;
-            }
-            if op.is_write() {
-                last = Some(key.0);
-            }
-        }
-        last
+        let entries = self.entries();
+        let earlier = entries.partition_point(|filed| filed.ts < ts);
+        entries[..earlier]
+            .iter()
+            .rev()
+            .find(|filed| filed.write)
+            .map(|filed| filed.ts)
     }
 
     /// Advance the processed watermark: every operation with a strictly
     /// smaller timestamp than `next_ts` has been applied.
     pub fn advance_processed(&self, next_ts: Timestamp) {
-        self.processed_upto.fetch_max(next_ts, Ordering::Release);
+        self.run
+            .processed_upto
+            .fetch_max(next_ts, Ordering::Release);
     }
 
     /// Mark the whole chain processed.
     pub fn mark_fully_processed(&self) {
-        self.processed_upto
+        self.run
+            .processed_upto
             .store(FULLY_PROCESSED, Ordering::Release);
     }
 
     /// Whether every operation of the chain has been processed.
     pub fn is_fully_processed(&self) -> bool {
-        self.processed_upto.load(Ordering::Acquire) == FULLY_PROCESSED
+        self.processed_upto() == FULLY_PROCESSED
     }
 
     /// Current processed watermark.
     pub fn processed_upto(&self) -> u64 {
-        self.processed_upto.load(Ordering::Acquire)
-    }
-
-    /// Rebind a recycled chain to a new state, wiping every trace of the
-    /// previous batch.  Exclusive access (the pool holds the only `Arc`)
-    /// makes every reset a plain store — no synchronisation.
-    fn reset_for(&mut self, state: StateRef) {
-        self.state = state;
-        self.ops.clear();
-        *self.depended_upon.get_mut() = false;
-        *self.has_deps.get_mut() = false;
-        self.dependencies.get_mut().clear();
-        *self.processed_upto.get_mut() = 0;
+        self.run.processed_upto.load(Ordering::Acquire)
     }
 }
 
-/// A pool of operation chains (one per state touched in the current batch).
-///
-/// Chains are **arena-recycled** across batches: `clear` returns every chain
-/// nothing else still references to a free list instead of dropping it, and
-/// `chain_for` rebinds a recycled chain (skip-list nodes' allocations and
-/// the dependency vector's capacity included) before allocating a fresh one.
-/// On the steady-state hot path a batch touching the same working set as the
-/// last one allocates nothing.
+/// The filing state of a pool: whether the current batch is frozen, and the
+/// frozen chains (empty, with last batch's capacity, while filing).
+#[derive(Debug, Default)]
+struct Batch {
+    frozen: bool,
+    chains: Arc<Frozen>,
+}
+
+/// A pool of operation chains (one per state touched in the current batch):
+/// append-only lanes during compute mode, frozen runs during state access.
 #[derive(Debug)]
 pub struct ChainPool {
-    shards: Vec<RwLock<HashMap<StateRef, Arc<OperationChain>, FxBuildHasher>>>,
-    mask: u64,
-    /// Per-batch task list (snapshot of chains) used during processing.
-    tasks: Mutex<Vec<Arc<OperationChain>>>,
-    next_task: AtomicUsize,
-    /// Recycled chains awaiting reuse (bounded by [`FREE_LIST_CAP`]).
-    free: Mutex<Vec<Arc<OperationChain>>>,
+    lanes: Box<[Mutex<Lane>]>,
+    batch: Mutex<Batch>,
 }
-
-const POOL_SHARDS: usize = 32;
-
-/// Upper bound on recycled chains retained per pool: enough to cover a
-/// punctuation batch touching thousands of distinct states, small enough
-/// that an outlier batch cannot pin its peak footprint forever.
-const FREE_LIST_CAP: usize = 4096;
 
 impl Default for ChainPool {
     fn default() -> Self {
@@ -339,163 +446,51 @@ impl ChainPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         ChainPool {
-            shards: (0..POOL_SHARDS)
-                .map(|_| RwLock::new(HashMap::default()))
-                .collect(),
-            mask: (POOL_SHARDS - 1) as u64,
-            tasks: Mutex::new(Vec::new()),
-            next_task: AtomicUsize::new(0),
-            free: Mutex::new(Vec::new()),
+            lanes: (0..LANES).map(|_| Mutex::default()).collect(),
+            batch: Mutex::default(),
         }
     }
 
-    #[inline]
-    fn shard_of(&self, state: StateRef) -> usize {
-        let mut h = state.key ^ ((state.table as u64) << 48);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
-        h ^= h >> 33;
-        (h & self.mask) as usize
-    }
-
-    /// Get (or create) the chain for `state`, preferring a recycled chain
-    /// over a fresh allocation.
-    pub fn chain_for(&self, state: StateRef) -> Arc<OperationChain> {
-        let shard = &self.shards[self.shard_of(state)];
-        if let Some(chain) = shard.read().get(&state) {
-            return chain.clone();
-        }
-        let mut guard = shard.write();
-        guard
-            .entry(state)
-            .or_insert_with(|| self.allocate(state))
-            .clone()
-    }
-
-    /// Pop a recycled chain and rebind it, or allocate a fresh one.
-    fn allocate(&self, state: StateRef) -> Arc<OperationChain> {
-        let mut free = self.free.lock();
-        while let Some(mut chain) = free.pop() {
-            if let Some(slot) = Arc::get_mut(&mut chain) {
-                slot.reset_for(state);
-                return chain;
-            }
-            // Still pinned by a stale external reference: unsafe to reuse,
-            // let it drop.  `clear` checks the count before recycling, so
-            // this arm is defensive only.
-        }
-        drop(free);
-        Arc::new(OperationChain::new(state))
-    }
-
-    /// Recycled chains currently waiting for reuse.
-    pub fn free_chains(&self) -> usize {
-        self.free.lock().len()
-    }
-
-    /// Get the chain for `state` if it exists.
-    pub fn get(&self, state: StateRef) -> Option<Arc<OperationChain>> {
-        self.shards[self.shard_of(state)]
-            .read()
-            .get(&state)
-            .cloned()
-    }
-
-    /// Number of chains in the pool.
-    pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.read().len()).sum()
-    }
-
-    /// Whether the pool holds no chains.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Snapshot of every chain currently in the pool.
-    pub fn snapshot(&self) -> Vec<Arc<OperationChain>> {
-        let mut out = Vec::with_capacity(self.len());
-        for shard in &self.shards {
-            out.extend(shard.read().values().cloned());
-        }
-        out
-    }
-
-    /// Build the per-batch task list from the current chains (called once per
-    /// batch by the pool's processing-group leader).
-    pub fn prepare_tasks(&self) {
-        let mut tasks = self.tasks.lock();
-        tasks.clear();
-        for shard in &self.shards {
-            tasks.extend(shard.read().values().cloned());
-        }
-        // A deterministic order helps reproducibility of round-based
-        // scheduling; sort by state.
-        tasks.sort_by_key(|c| c.state());
-        self.next_task.store(0, Ordering::Release);
-    }
-
-    /// Claim the next unprocessed task (work-stealing style); `None` when the
-    /// task list is exhausted.
-    pub fn claim_next(&self) -> Option<Arc<OperationChain>> {
-        let tasks = self.tasks.lock();
-        let idx = self.next_task.fetch_add(1, Ordering::AcqRel);
-        tasks.get(idx).cloned()
-    }
-
-    /// Claim every not-yet-claimed task in one step.  A single-member
-    /// processing group owns the whole list anyway; taking it in one lock
-    /// acquisition avoids one mutex round-trip per chain.
-    pub fn claim_all_remaining(&self) -> Vec<Arc<OperationChain>> {
-        let tasks = self.tasks.lock();
-        let start = self
-            .next_task
-            .swap(tasks.len(), Ordering::AcqRel)
-            .min(tasks.len());
-        tasks[start..].to_vec()
-    }
-
-    /// Static share of the task list for member `member` of a processing
-    /// group of `group_size` executors (no work stealing).
-    pub fn task_slice(&self, member: usize, group_size: usize) -> Vec<Arc<OperationChain>> {
-        let tasks = self.tasks.lock();
-        tasks
-            .iter()
-            .enumerate()
-            .filter(|(i, _)| i % group_size.max(1) == member)
-            .map(|(_, c)| c.clone())
-            .collect()
-    }
-
-    /// Visit every chain currently in the pool without cloning `Arc`s (one
-    /// read lock per pool shard; used by per-shard accounting).
-    pub fn for_each_chain(&self, mut f: impl FnMut(&OperationChain)) {
-        for shard in &self.shards {
-            for chain in shard.read().values() {
-                f(chain);
-            }
+    /// Where operations of `state` are filed.
+    pub fn chain_for(&self, state: StateRef) -> ChainSlot<'_> {
+        ChainSlot {
+            lane: &self.lanes[state_hash(state) as usize % LANES],
+            state,
         }
     }
 
-    /// Recycle every chain (end of batch): chains nothing else references
-    /// go back to the free list for the next batch; the rest (e.g. versioned
-    /// chains an executor still holds) drop normally.
+    /// The batch's chains, frozen by the first call after filing.
+    pub fn freeze(&self) -> FrozenPool {
+        let mut batch = self.batch.lock();
+        let batch = &mut *batch;
+        if !batch.frozen {
+            Arc::get_mut(&mut batch.chains)
+                .expect("`clear` left the unfrozen batch unshared")
+                .freeze(&self.lanes);
+            batch.frozen = true;
+        }
+        FrozenPool(batch.chains.clone())
+    }
+
+    /// Visit every chain of the (frozen) batch, in state order.
+    pub fn for_each_chain(&self, f: impl FnMut(OperationChain<'_>)) {
+        self.freeze().chains().for_each(f);
+    }
+
+    /// End of batch: forget every filed operation and thaw the pool.
     pub fn clear(&self) {
-        // The task list holds `Arc` clones — drop them first or every chain
-        // would look externally pinned.
-        self.tasks.lock().clear();
-        self.next_task.store(0, Ordering::Release);
-        // Drain the shards before touching the free list: `chain_for` locks
-        // shard-then-free-list, so holding the free list across a shard lock
-        // would invert the order.
-        let mut drained = Vec::new();
-        for shard in &self.shards {
-            drained.extend(shard.write().drain().map(|(_, chain)| chain));
+        let mut batch = self.batch.lock();
+        match Arc::get_mut(&mut batch.chains) {
+            Some(chains) => chains.clear(),
+            // A reader outlived the batch: it keeps the buffers.
+            None => batch.chains = Arc::default(),
         }
-        let mut free = self.free.lock();
-        for chain in drained {
-            if free.len() < FREE_LIST_CAP && Arc::strong_count(&chain) == 1 {
-                free.push(chain);
-            }
+        batch.frozen = false;
+        for lane in self.lanes.iter() {
+            let mut lane = lane.lock();
+            lane.ops.clear();
+            lane.depended_upon.clear();
+            lane.frozen = false;
         }
     }
 }
@@ -523,14 +518,6 @@ pub struct ProcessingAssignment {
     pub group_size: usize,
 }
 
-impl ProcessingAssignment {
-    /// Whether this executor is the group leader (rank 0), responsible for
-    /// preparing the pool's task list and clearing the pool afterwards.
-    pub fn is_leader(&self) -> bool {
-        self.member == 0
-    }
-}
-
 impl ChainPoolSet {
     /// Creates the pools for the given placement, executor layout and state
     /// shard count (clamped to `1..=MAX_SHARDS`; it should match the shard
@@ -549,11 +536,6 @@ impl ChainPoolSet {
             router,
             pools: (0..pool_count.max(1)).map(|_| ChainPool::new()).collect(),
         }
-    }
-
-    /// Placement policy in force.
-    pub fn placement(&self) -> ChainPlacement {
-        self.placement
     }
 
     /// Number of state shards chains are routed by.
@@ -604,35 +586,38 @@ impl ChainPoolSet {
         }
     }
 
-    /// Route a state to its pool.
-    pub fn route(&self, state: StateRef) -> &ChainPool {
-        &self.pools[self.pool_index_for_state(state)]
+    /// Where operations of `state` are filed, whichever pool that is.
+    pub fn chain_for(&self, state: StateRef) -> ChainSlot<'_> {
+        self.pools[self.pool_index_for_state(state)].chain_for(state)
     }
 
-    /// Get (or create) the chain for a state, wherever it lives.
-    pub fn chain_for(&self, state: StateRef) -> Arc<OperationChain> {
-        self.route(state).chain_for(state)
-    }
-
-    /// Dynamic transaction decomposition (Section IV-C.1): the chain `op`
-    /// belongs in — the chain of its target state, with the chain-level
-    /// dependency edge recorded and the depended-upon chain flagged so it is
-    /// processed with temporary versions.  The caller completes the step
-    /// with `.insert(op)`.  (Taking the operation by value and inserting it
-    /// here copies it once more on its way into the chain; measured, that is
-    /// 8 % of GS's single-executor throughput.)
-    pub fn chain_for_op(&self, op: &Operation) -> Arc<OperationChain> {
-        let chain = self.chain_for(op.target);
+    /// Dynamic transaction decomposition (Section IV-C.1): where `op` is
+    /// filed — under its target state — with the state it depends on flagged
+    /// so that chain is processed with temporary versions.  The caller
+    /// completes the step with `.insert(op)`.  (Taking the operation by
+    /// value and inserting it here copies it once more on its way into the
+    /// log; measured, that is 8 % of GS's single-executor throughput.)
+    pub fn chain_for_op(&self, op: &Operation) -> ChainSlot<'_> {
         if let Some(dep) = op.dependency {
-            chain.add_dependency(dep);
             self.chain_for(dep).mark_depended_upon();
         }
-        chain
+        self.chain_for(op.target)
     }
 
-    /// Find an existing chain for a state, wherever it lives.
-    pub fn find_chain(&self, state: StateRef) -> Option<Arc<OperationChain>> {
-        self.route(state).get(state)
+    /// Every pool's frozen chains (see [`ChainPool::freeze`]), indexed like
+    /// [`ChainPoolSet::pools`].
+    pub fn freeze(&self) -> Vec<FrozenPool> {
+        self.pools.iter().map(ChainPool::freeze).collect()
+    }
+
+    /// The chain of `state` among `frozen` (this set's [`ChainPoolSet::freeze`]),
+    /// wherever it lives, if anything was filed under it.
+    pub fn find_chain<'f>(
+        &self,
+        frozen: &'f [FrozenPool],
+        state: StateRef,
+    ) -> Option<OperationChain<'f>> {
+        frozen[self.pool_index_for_state(state)].find(state)
     }
 
     /// The processing assignment of an executor.
@@ -676,9 +661,9 @@ impl ChainPoolSet {
         }
     }
 
-    /// Total chains across all pools.
+    /// Total chains across all (frozen) pools.
     pub fn total_chains(&self) -> usize {
-        self.pools.iter().map(|p| p.len()).sum()
+        self.pools.iter().map(|p| p.freeze().len()).sum()
     }
 
     /// Number of chains currently routed to each state shard (summed over
@@ -687,8 +672,7 @@ impl ChainPoolSet {
     ///
     /// The engine calls this once per batch, so it must stay off the measured
     /// hot path: the single-shard (default) case is a handful of counter
-    /// reads, and the multi-shard case visits chains in place without
-    /// cloning.
+    /// reads, and the multi-shard case walks the dense run vectors.
     pub fn chains_per_shard(&self) -> Vec<usize> {
         if self.router.shards() == 1 {
             return vec![self.total_chains()];
@@ -702,7 +686,7 @@ impl ChainPoolSet {
         counts
     }
 
-    /// Drop every chain in every pool (end of batch).
+    /// Clear every pool (end of batch).
     pub fn clear_all(&self) {
         for pool in &self.pools {
             pool.clear();
@@ -729,56 +713,134 @@ mod tests {
         }
     }
 
+    fn write(ts: Timestamp, key: u64) -> Operation {
+        Operation {
+            access: AccessType::Write,
+            ..op(ts, 0, 0, key)
+        }
+    }
+
+    /// A pool with `ops` filed, frozen.
+    fn frozen(ops: impl IntoIterator<Item = Operation>) -> FrozenPool {
+        let pool = ChainPool::new();
+        for op in ops {
+            pool.chain_for(op.target).insert(op);
+        }
+        pool.freeze()
+    }
+
     #[test]
     fn chain_keeps_operations_in_timestamp_order() {
-        let chain = OperationChain::new(StateRef::new(0, 1));
-        for ts in [5u64, 1, 9, 3] {
-            chain.insert(op(ts, 0, 0, 1));
-        }
+        let pool = frozen([5u64, 1, 9, 3].map(|ts| op(ts, 0, 0, 1)));
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
         let order: Vec<u64> = chain.iter().map(|o| o.ts).collect();
         assert_eq!(order, vec![1, 3, 5, 9]);
         assert_eq!(chain.len(), 4);
         assert!(!chain.is_empty());
+        assert_eq!(chain.get(2).unwrap().ts, 5);
+        assert!(chain.get(4).is_none());
     }
 
     #[test]
     fn same_transaction_can_touch_a_state_twice() {
-        let chain = OperationChain::new(StateRef::new(0, 1));
-        chain.insert(op(7, 0, 0, 1));
-        chain.insert(op(7, 1, 0, 1));
-        assert_eq!(chain.len(), 2);
+        let pool = frozen([op(7, 1, 0, 1), op(7, 0, 0, 1)]);
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
+        let order: Vec<u32> = chain.iter().map(|o| o.op_index).collect();
+        assert_eq!(order, vec![0, 1]);
     }
 
     #[test]
     fn dependency_flags_and_edges() {
-        let chain = OperationChain::new(StateRef::new(0, 1));
-        assert!(!chain.is_depended_upon());
-        chain.mark_depended_upon();
-        assert!(chain.is_depended_upon());
-        chain.add_dependency(StateRef::new(1, 2));
-        chain.add_dependency(StateRef::new(1, 2));
-        assert_eq!(chain.dependencies().len(), 1);
+        let pool = ChainPool::new();
+        let dependent = Operation {
+            dependency: Some(StateRef::new(0, 2)),
+            ..write(3, 1)
+        };
+        pool.chain_for(dependent.target)
+            .add_dependency(StateRef::new(0, 2));
+        pool.chain_for(dependent.target).insert(dependent);
+        pool.chain_for(StateRef::new(0, 2)).insert(write(1, 2));
+        pool.chain_for(StateRef::new(0, 2)).mark_depended_upon();
+        // A dependency on a state nothing is filed under: no chain, no flag.
+        pool.chain_for(StateRef::new(0, 9)).mark_depended_upon();
+        let pool = pool.freeze();
+
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
         assert!(chain.has_dependencies());
+        assert!(!chain.is_depended_upon());
+        let source = pool.find(StateRef::new(0, 2)).unwrap();
+        assert!(source.is_depended_upon());
+        assert!(!source.has_dependencies());
+        assert!(pool.find(StateRef::new(0, 9)).is_none());
+        assert_eq!(pool.len(), 2);
     }
 
     #[test]
     fn last_write_before_skips_reads_and_later_ops() {
-        let chain = OperationChain::new(StateRef::new(0, 1));
-        let mut w = op(2, 0, 0, 1);
-        w.access = AccessType::Write;
-        chain.insert(w);
-        chain.insert(op(4, 0, 0, 1)); // read at ts 4
-        let mut w2 = op(6, 0, 0, 1);
-        w2.access = AccessType::ReadModify;
-        chain.insert(w2);
+        let modify = Operation {
+            access: AccessType::ReadModify,
+            ..op(6, 0, 0, 1)
+        };
+        let pool = frozen([write(2, 1), op(4, 0, 0, 1), modify]);
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
         assert_eq!(chain.last_write_before(1), None);
         assert_eq!(chain.last_write_before(5), Some(2));
         assert_eq!(chain.last_write_before(100), Some(6));
     }
 
     #[test]
+    fn last_write_before_on_a_long_chain_checks_every_boundary() {
+        // 10 000 operations at ts 10, 20, ..: writes at the even positions,
+        // reads at the odd ones.  Every probe is a binary search plus a scan
+        // back over at most one read, so the whole sweep is instant; walking
+        // from the head per probe would be 10^8 steps.
+        const OPS: u64 = 10_000;
+        let pool = frozen((0..OPS).map(|i| {
+            let ts = (i + 1) * 10;
+            if i % 2 == 0 {
+                write(ts, 1)
+            } else {
+                op(ts, 0, 0, 1)
+            }
+        }));
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
+        assert_eq!(chain.len(), OPS as usize);
+        assert_eq!(chain.last_write_before(0), None);
+        assert_eq!(chain.last_write_before(9), None, "below the first");
+        assert_eq!(
+            chain.last_write_before(10),
+            None,
+            "equal to the first write"
+        );
+        let mut last_write = None;
+        for i in 0..OPS {
+            let ts = (i + 1) * 10;
+            assert_eq!(
+                chain.last_write_before(ts - 1),
+                last_write,
+                "between, below {ts}"
+            );
+            assert_eq!(chain.last_write_before(ts), last_write, "equal to {ts}");
+            if i % 2 == 0 {
+                last_write = Some(ts);
+            }
+            assert_eq!(
+                chain.last_write_before(ts + 1),
+                last_write,
+                "just above {ts}"
+            );
+        }
+        assert_eq!(
+            chain.last_write_before(u64::MAX),
+            Some((OPS - 1) * 10),
+            "above the last"
+        );
+    }
+
+    #[test]
     fn processed_watermark_progression() {
-        let chain = OperationChain::new(StateRef::new(0, 1));
+        let pool = frozen([op(1, 0, 0, 1)]);
+        let chain = pool.find(StateRef::new(0, 1)).unwrap();
         assert_eq!(chain.processed_upto(), 0);
         chain.advance_processed(4);
         assert_eq!(chain.processed_upto(), 4);
@@ -788,63 +850,58 @@ mod tests {
     }
 
     #[test]
-    fn pool_creates_chains_on_demand_and_clears() {
+    fn freezing_groups_by_state_and_clearing_thaws() {
         let pool = ChainPool::new();
-        assert!(pool.is_empty());
-        let a = pool.chain_for(StateRef::new(0, 1));
-        let b = pool.chain_for(StateRef::new(0, 1));
-        assert!(Arc::ptr_eq(&a, &b), "same state must map to the same chain");
-        pool.chain_for(StateRef::new(0, 2));
-        assert_eq!(pool.len(), 2);
-        assert!(pool.get(StateRef::new(0, 3)).is_none());
+        assert!(pool.freeze().is_empty());
         pool.clear();
-        assert!(pool.is_empty());
+        for (ts, key) in [(1, 1), (2, 2), (3, 1)] {
+            pool.chain_for(StateRef::new(0, key))
+                .insert(op(ts, 0, 0, key));
+        }
+        let batch = pool.freeze();
+        assert_eq!(batch.len(), 2);
+        assert_eq!(batch.find(StateRef::new(0, 1)).unwrap().len(), 2);
+        assert!(batch.find(StateRef::new(0, 3)).is_none());
+        assert_eq!(batch.operations().count(), 3);
+        let mut visited = Vec::new();
+        pool.for_each_chain(|chain| visited.push(chain.state().key));
+        assert_eq!(visited, vec![1, 2], "state order");
+        drop(batch);
+
+        // The next batch starts empty: flags, watermarks and operations of
+        // the previous one are gone.
+        pool.clear();
+        pool.chain_for(StateRef::new(1, 42)).insert(op(9, 0, 1, 42));
+        let batch = pool.freeze();
+        assert_eq!(batch.len(), 1);
+        let chain = batch.find(StateRef::new(1, 42)).unwrap();
+        assert_eq!(chain.processed_upto(), 0);
+        assert!(!chain.is_depended_upon());
     }
 
     #[test]
-    fn cleared_chains_are_recycled_with_state_wiped() {
+    #[should_panic(expected = "frozen chain pool")]
+    fn filing_into_a_frozen_pool_panics() {
         let pool = ChainPool::new();
-        let chain = pool.chain_for(StateRef::new(0, 7));
-        chain.insert(op(3, 0, 0, 7));
-        chain.mark_depended_upon();
-        chain.add_dependency(StateRef::new(0, 9));
-        chain.advance_processed(4);
-        let recycled_ptr = Arc::as_ptr(&chain);
-        drop(chain); // the pool must hold the only reference to recycle
-        pool.prepare_tasks();
-        pool.clear();
-        assert_eq!(pool.free_chains(), 1);
-
-        // The next batch's chain for a *different* state reuses the arena
-        // slot, fully reset.
-        let reused = pool.chain_for(StateRef::new(1, 42));
-        assert_eq!(Arc::as_ptr(&reused), recycled_ptr, "arena reuse");
-        assert_eq!(reused.state(), StateRef::new(1, 42));
-        assert!(reused.is_empty());
-        assert!(!reused.is_depended_upon());
-        assert!(!reused.has_dependencies());
-        assert_eq!(reused.processed_upto(), 0);
-        assert_eq!(pool.free_chains(), 0);
+        pool.chain_for(StateRef::new(0, 1)).insert(op(1, 0, 0, 1));
+        pool.freeze();
+        pool.chain_for(StateRef::new(0, 1)).insert(op(2, 0, 0, 1));
     }
 
     #[test]
-    fn externally_pinned_chains_are_not_recycled() {
+    fn a_reader_that_outlives_the_clear_keeps_its_batch() {
         let pool = ChainPool::new();
-        let held = pool.chain_for(StateRef::new(0, 1)); // keep an Arc alive
-        pool.chain_for(StateRef::new(0, 2));
+        pool.chain_for(StateRef::new(0, 1)).insert(op(1, 0, 0, 1));
+        let held = pool.freeze();
         pool.clear();
-        assert_eq!(pool.free_chains(), 1, "only the unpinned chain recycles");
-        assert!(held.is_empty(), "the held chain is untouched");
-        assert_eq!(held.state(), StateRef::new(0, 1));
+        pool.chain_for(StateRef::new(0, 2)).insert(op(2, 0, 0, 2));
+        assert!(pool.freeze().find(StateRef::new(0, 1)).is_none());
+        assert_eq!(held.find(StateRef::new(0, 1)).unwrap().len(), 1);
     }
 
     #[test]
     fn pool_task_claiming_visits_every_chain_exactly_once() {
-        let pool = ChainPool::new();
-        for k in 0..50u64 {
-            pool.chain_for(StateRef::new(0, k));
-        }
-        pool.prepare_tasks();
+        let pool = frozen((0..50u64).map(|k| op(k, 0, 0, k)));
         let mut seen = Vec::new();
         while let Some(chain) = pool.claim_next() {
             seen.push(chain.state());
@@ -855,36 +912,28 @@ mod tests {
     }
 
     #[test]
-    fn static_task_slices_partition_the_pool() {
-        let pool = ChainPool::new();
-        for k in 0..10u64 {
-            pool.chain_for(StateRef::new(0, k));
-        }
-        pool.prepare_tasks();
-        let a = pool.task_slice(0, 3);
-        let b = pool.task_slice(1, 3);
-        let c = pool.task_slice(2, 3);
-        assert_eq!(a.len() + b.len() + c.len(), 10);
-    }
-
-    #[test]
     fn concurrent_inserts_into_one_pool() {
-        let pool = Arc::new(ChainPool::new());
+        let pool = ChainPool::new();
         std::thread::scope(|s| {
             for t in 0..8u64 {
-                let pool = pool.clone();
+                let pool = &pool;
                 s.spawn(move || {
                     for i in 0..500u64 {
                         let state = StateRef::new(0, i % 20);
-                        let chain = pool.chain_for(state);
-                        chain.insert(op(t * 500 + i, 0, 0, i % 20));
+                        pool.chain_for(state).insert(op(t * 500 + i, 0, 0, i % 20));
                     }
                 });
             }
         });
-        assert_eq!(pool.len(), 20);
-        let total: usize = pool.snapshot().iter().map(|c| c.len()).sum();
-        assert_eq!(total, 8 * 500);
+        let batch = pool.freeze();
+        assert_eq!(batch.len(), 20);
+        for chain in batch.chains() {
+            assert_eq!(chain.len(), 8 * 500 / 20);
+            assert!(chain
+                .iter()
+                .zip(chain.iter().skip(1))
+                .all(|(a, b)| a.ts < b.ts));
+        }
     }
 
     #[test]
@@ -896,15 +945,13 @@ mod tests {
         let a = sn.assignment(ExecutorId(7));
         assert_eq!(a.pool, 7);
         assert_eq!(a.group_size, 1);
-        assert!(a.is_leader());
 
         let se = ChainPoolSet::new(ChainPlacement::SharedEverything, layout, 1);
         assert_eq!(se.pools().len(), 1);
         let a = se.assignment(ExecutorId(7));
         assert_eq!(a.pool, 0);
         assert_eq!(a.group_size, 20);
-        assert!(!a.is_leader());
-        assert!(se.assignment(ExecutorId(0)).is_leader());
+        assert_eq!(se.assignment(ExecutorId(0)).member, 0);
 
         let sps = ChainPoolSet::new(ChainPlacement::SharedPerSocket, layout, 1);
         assert_eq!(sps.pools().len(), 2);
@@ -926,9 +973,12 @@ mod tests {
                     let p = set.pool_index_for_state(s);
                     assert!(p < set.pools().len());
                     assert_eq!(p, set.pool_index_for_state(s));
-                    let chain = set.chain_for(s);
-                    assert!(Arc::ptr_eq(&chain, &set.find_chain(s).unwrap()));
+                    set.chain_for(s).insert(op(key, 0, 1, key));
                 }
+                let frozen = set.freeze();
+                let found = set.find_chain(&frozen, StateRef::new(1, 7));
+                assert_eq!(found.unwrap().len(), 1);
+                drop(frozen);
                 assert_eq!(set.total_chains(), 500);
                 assert_eq!(
                     set.chains_per_shard().iter().sum::<usize>(),
@@ -987,7 +1037,7 @@ mod tests {
         let mut expected = vec![0usize; 4];
         for key in 0..300u64 {
             let state = StateRef::new(2, key);
-            set.chain_for(state);
+            set.chain_for(state).insert(op(key, 0, 2, key));
             expected[set.shard_of_state(state).index()] += 1;
         }
         assert_eq!(set.chains_per_shard(), expected);

@@ -412,14 +412,10 @@ impl<A: Application> RunContext<A> {
                 (Scheme::Eager(scheme), _) => scheme.end_batch(&self.store),
                 (Scheme::TStream, true) => {}
                 (Scheme::TStream, false) => {
-                    let recycled: u64 = self
-                        .pools
-                        .chains_per_shard()
-                        .iter()
-                        .map(|&c| c as u64)
-                        .sum();
-                    self.pools.clear_all();
+                    // `clear_all` keeps every buffer: each chain built is recycled.
+                    let recycled = self.pools.total_chains() as u64;
                     self.obs.hub().chains_recycled(recycled);
+                    self.pools.clear_all();
                     self.abort_log.clear_batch();
                 }
             }
@@ -711,23 +707,15 @@ impl<A: Application> RunContext<A> {
         // registering their postponed transactions before state access
         // begins (Section IV-B.2).
         if self.barrier_wait(index, seq, state) {
-            // A single executor processes straight out of the pool shards (see
-            // `RestructureContext::single_executor`); the sorted task list is
-            // only needed to split work between several executors.
-            if self.layout.executors > 1 {
-                for pool in self.pools.pools() {
-                    pool.prepare_tasks();
-                }
-            }
-            // Record the real shard placement of this batch's chains before
-            // processing starts (the pools are recycled at the batch end).
-            let mut built = 0u64;
-            let mut acc = self.shard_chains.lock();
-            for (total, count) in acc.iter_mut().zip(self.pools.chains_per_shard()) {
+            // Freeze the pools — the first read does it: one sort per pool
+            // turns the filed operations into chains — and record the real
+            // shard placement of this batch's chains before processing
+            // starts (the pools are cleared at the batch end).
+            let per_shard = self.pools.chains_per_shard();
+            let built: u64 = per_shard.iter().map(|&count| count as u64).sum();
+            for (total, count) in self.shard_chains.lock().iter_mut().zip(per_shard) {
                 *total += count as u64;
-                built += count as u64;
             }
-            drop(acc);
             self.obs.hub().restructured_batch(built);
             self.obs.trace_exec(
                 index,

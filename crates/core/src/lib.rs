@@ -91,7 +91,9 @@ pub mod walwriter;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveIntervalController, IntervalObservation};
 pub use builder::SessionBuilder;
-pub use chains::{ChainPool, ChainPoolSet, OperationChain, ProcessingAssignment};
+pub use chains::{
+    ChainPool, ChainPoolSet, ChainSlot, FrozenPool, OperationChain, ProcessingAssignment,
+};
 pub use config::{ChainPlacement, DependencyResolution, EngineConfig, TStreamConfig};
 pub use engine::{Engine, RunReport, Scheme};
 pub use restructure::{BatchAbortLog, ChainStats, ReplayStats, RestructureContext};

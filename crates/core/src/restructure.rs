@@ -27,19 +27,19 @@
 //!   exact serial-equivalent semantics at the cost the paper acknowledges.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use parking_lot::Mutex;
 use tstream_obs::clock::{self, Stopwatch};
 use tstream_state::StateStore;
 use tstream_stream::metrics::{Breakdown, Component};
+use tstream_stream::operator::StateRef;
 use tstream_txn::exec::{
     execute_operation, execute_transaction_body, resolve_record, AccessPlan, UndoEntry, ValueMode,
 };
 use tstream_txn::{ExecEnv, Operation};
 
-use crate::chains::{ChainPoolSet, OperationChain, ProcessingAssignment, StateIndex};
+use crate::chains::{ChainPoolSet, FrozenPool, OperationChain, ProcessingAssignment, StateIndex};
 use crate::config::DependencyResolution;
 
 /// Per-batch abort bookkeeping shared by all executors.
@@ -177,44 +177,52 @@ pub struct RestructureContext<'a> {
     /// false, access time is charged at chain/batch granularity instead of
     /// two clock reads per operation.
     pub classify_remote: bool,
-    /// Whether the whole run uses a single executor.  Barriers are elided and
-    /// the batch is processed straight out of the pool shards: no task list
-    /// and no claim locks.
+    /// Whether the whole run uses a single executor.  Barriers are elided
+    /// and the executor takes every chain of its pool.
     pub single_executor: bool,
     /// Per-batch abort bookkeeping (undo entries + replay flag).
     pub abort_log: &'a BatchAbortLog,
 }
 
+/// The state of a *versioned* chain: one that was processed with temporary
+/// versions, which [`collapse_versioned`] folds away.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct VersionedState {
+    target: StateRef,
+    slot: u32,
+}
+
 /// Process the chains assigned to one executor for the current batch.
 ///
-/// Returns the statistics and the list of *versioned* chains this executor
-/// processed; their temporary versions must be folded into the committed
-/// values once every executor has finished the batch
+/// Returns the statistics and the states of the *versioned* chains this
+/// executor processed; their temporary versions must be folded into the
+/// committed values once every executor has finished the batch
 /// (see [`collapse_versioned`]).
 pub fn process_assigned(
     ctx: &RestructureContext<'_>,
     assignment: ProcessingAssignment,
     breakdown: &mut Breakdown,
-) -> (ChainStats, Vec<Arc<OperationChain>>) {
-    let pool = &ctx.pools.pools()[assignment.pool];
+) -> (ChainStats, Vec<VersionedState>) {
+    // The frozen runs are shared through reference counts, not guards: state
+    // access takes record locks and touches per-event blotters, and nesting
+    // those under a pool lock both risks lock-order inversions and poisons
+    // the lock-order tracker's acquisition graph in test builds.
+    let frozen = ctx.pools.freeze();
+    let pool = &frozen[assignment.pool];
     let mut stats = ChainStats::default();
     let mut undo: Vec<UndoEntry> = Vec::new();
 
-    // Claim the chains this executor is responsible for.  A lone executor
-    // owns every chain and skips the sorted task list: it takes a plain
-    // snapshot of the pool shards (one read lock per shard, released before
-    // any operation executes — state access takes record locks and touches
-    // per-event blotters, and nesting those under a pool-shard guard both
-    // risks lock-order inversions and poisons the lock-order tracker's
-    // acquisition graph in test builds).
-    let my_chains: Vec<Arc<OperationChain>> = if ctx.single_executor {
-        pool.snapshot()
-    } else if assignment.group_size <= 1 {
-        pool.claim_all_remaining()
+    // Claim the chains this executor is responsible for; a lone group
+    // member owns every chain of its pool.
+    let my_chains: Vec<OperationChain<'_>> = if assignment.group_size <= 1 {
+        pool.chains().collect()
     } else if ctx.work_stealing {
         std::iter::from_fn(|| pool.claim_next()).collect()
     } else {
-        pool.task_slice(assignment.member, assignment.group_size)
+        pool.chains()
+            .skip(assignment.member)
+            .step_by(assignment.group_size)
+            .collect()
     };
 
     // With per-op classification off, Useful is charged per chain/burst —
@@ -225,25 +233,27 @@ pub fn process_assigned(
     if ctx.single_executor || ctx.resolution == DependencyResolution::FineGrained {
         // With one executor the cooperative scheduler can never stall: the
         // smallest-timestamp unprocessed operation is always runnable.
-        process_cooperatively(ctx, &my_chains, &mut stats, breakdown, &mut undo, per_chain);
+        process_cooperatively(
+            ctx, &frozen, &my_chains, &mut stats, breakdown, &mut undo, per_chain,
+        );
         stats.rounds = 1;
     } else {
         // Round 1 .. k: only process chains whose dependency chains have
         // been fully processed; remaining chains wait for the next round.
-        let mut pending: Vec<Arc<OperationChain>> = Vec::new();
-        let mut current: Vec<Arc<OperationChain>> = my_chains.clone();
+        let mut pending: Vec<OperationChain<'_>> = Vec::new();
+        let mut current: Vec<OperationChain<'_>> = my_chains.clone();
         loop {
             stats.rounds += 1;
             let mut progressed = false;
             for chain in current.drain(..) {
-                let ready = chain.dependencies().iter().all(|dep| {
-                    ctx.pools
-                        .find_chain(*dep)
-                        .map(|c| c.is_fully_processed())
-                        .unwrap_or(true)
-                });
+                let ready = !chain.has_dependencies()
+                    || chain.iter().filter_map(|op| op.dependency).all(|dep| {
+                        ctx.pools
+                            .find_chain(&frozen, dep)
+                            .is_none_or(|c| c.is_fully_processed())
+                    });
                 if ready {
-                    process_whole_chain(ctx, &chain, &mut stats, breakdown, &mut undo, per_chain);
+                    process_whole_chain(ctx, chain, &mut stats, breakdown, &mut undo, per_chain);
                     progressed = true;
                 } else {
                     pending.push(chain);
@@ -258,7 +268,9 @@ pub fn process_assigned(
                 // another executor that is itself not finished.  Fall back
                 // to the deadlock-free cooperative scheduler for the rest.
                 let rest = std::mem::take(&mut pending);
-                process_cooperatively(ctx, &rest, &mut stats, breakdown, &mut undo, per_chain);
+                process_cooperatively(
+                    ctx, &frozen, &rest, &mut stats, breakdown, &mut undo, per_chain,
+                );
                 break;
             }
             std::mem::swap(&mut current, &mut pending);
@@ -267,21 +279,24 @@ pub fn process_assigned(
     breakdown.charge(Component::Useful, t_all.elapsed());
 
     ctx.abort_log.append(undo);
+    // Every operation of a chain targets the chain's state, so the first
+    // one carries the state's slot.
     let versioned = my_chains
-        .into_iter()
+        .iter()
         .filter(|chain| chain.is_depended_upon())
+        .filter_map(|chain| chain.get(0))
+        .map(|op| VersionedState {
+            target: op.target,
+            slot: op.slot,
+        })
         .collect();
     (stats, versioned)
 }
 
-/// Cursor over one chain during cooperative processing.  Operations are
-/// *borrowed* from the chain (whose `Arc` outlives the cursor): chain
-/// contents are frozen between the TXN_START barrier and the end-of-batch
-/// recycle, so no `Operation` (with its `Arc`-heavy function and blotter
-/// handles) needs to be cloned to walk it.
+/// Cursor over one chain during cooperative processing: the chain and the
+/// position of its next unprocessed operation.
 struct ChainCursor<'a> {
-    chain: &'a OperationChain,
-    ops: Vec<&'a Operation>,
+    chain: OperationChain<'a>,
     next: usize,
 }
 
@@ -299,29 +314,25 @@ struct ChainCursor<'a> {
 /// [`process_assigned`]).
 fn process_cooperatively(
     ctx: &RestructureContext<'_>,
-    chains: &[Arc<OperationChain>],
+    frozen: &[FrozenPool],
+    chains: &[OperationChain<'_>],
     stats: &mut ChainStats,
     breakdown: &mut Breakdown,
     undo: &mut Vec<UndoEntry>,
     timed: bool,
 ) {
     // First pass: walk each chain in place.  Only a chain that actually hits
-    // an unsatisfied dependency materialises a cursor (with its op vector)
-    // for the cycling loop below; most chains — every one that neither
-    // depends on another chain nor is depended upon — complete here with
-    // zero allocations.
+    // an unsatisfied dependency leaves a cursor for the cycling loop below;
+    // most chains — every one that neither depends on another chain nor is
+    // depended upon — complete here.
     let mut blocked: Vec<ChainCursor<'_>> = Vec::new();
-    'chains: for chain in chains {
+    'chains: for &chain in chains {
         let versioned_target = chain.is_depended_upon();
         let t = Stopwatch::start_if(timed);
-        for (i, op) in chain.iter().enumerate() {
-            if dependency_blocked(ctx, op) {
+        for (next, op) in chain.iter().enumerate() {
+            if dependency_blocked(ctx.pools, frozen, op) {
                 breakdown.charge(Component::Useful, t.elapsed());
-                blocked.push(ChainCursor {
-                    chain,
-                    ops: chain.iter().collect(),
-                    next: i,
-                });
+                blocked.push(ChainCursor { chain, next });
                 continue 'chains;
             }
             execute_chain_op(ctx, chain, op, versioned_target, stats, breakdown, undo);
@@ -339,14 +350,13 @@ fn process_cooperatively(
     while remaining > 0 {
         let mut progressed = false;
         for cursor in &mut blocked {
-            if cursor.next >= cursor.ops.len() {
+            if cursor.next >= cursor.chain.len() {
                 continue;
             }
             let versioned_target = cursor.chain.is_depended_upon();
             let t = Stopwatch::start_if(timed);
-            while cursor.next < cursor.ops.len() {
-                let op = cursor.ops[cursor.next];
-                if dependency_blocked(ctx, op) {
+            while let Some(op) = cursor.chain.get(cursor.next) {
+                if dependency_blocked(ctx.pools, frozen, op) {
                     break;
                 }
                 execute_chain_op(
@@ -362,7 +372,7 @@ fn process_cooperatively(
                 progressed = true;
             }
             breakdown.charge(Component::Useful, t.elapsed());
-            if cursor.next >= cursor.ops.len() {
+            if cursor.next >= cursor.chain.len() {
                 cursor.chain.mark_fully_processed();
                 stats.chains += 1;
                 remaining -= 1;
@@ -386,11 +396,11 @@ fn process_cooperatively(
 /// with a smaller timestamp in the depended-upon chain must have been applied
 /// before `op` may read it.
 #[inline]
-fn dependency_blocked(ctx: &RestructureContext<'_>, op: &Operation) -> bool {
+fn dependency_blocked(pools: &ChainPoolSet, frozen: &[FrozenPool], op: &Operation) -> bool {
     let Some(dep) = op.dependency else {
         return false;
     };
-    let Some(dep_chain) = ctx.pools.find_chain(dep) else {
+    let Some(dep_chain) = pools.find_chain(frozen, dep) else {
         return false;
     };
     match dep_chain.last_write_before(op.ts) {
@@ -404,7 +414,7 @@ fn dependency_blocked(ctx: &RestructureContext<'_>, op: &Operation) -> bool {
 /// are known to be fully processed.
 fn process_whole_chain(
     ctx: &RestructureContext<'_>,
-    chain: &OperationChain,
+    chain: OperationChain<'_>,
     stats: &mut ChainStats,
     breakdown: &mut Breakdown,
     undo: &mut Vec<UndoEntry>,
@@ -433,7 +443,7 @@ fn process_whole_chain(
 #[inline]
 fn execute_chain_op(
     ctx: &RestructureContext<'_>,
-    chain: &OperationChain,
+    chain: OperationChain<'_>,
     op: &Operation,
     versioned_target: bool,
     stats: &mut ChainStats,
@@ -472,18 +482,13 @@ fn execute_chain_op(
     }
 }
 
-/// Fold the temporary versions of the given chains' states into their
-/// committed values (end-of-batch garbage collection, Section IV-C.2).
+/// Fold the temporary versions of the given states into their committed
+/// values (end-of-batch garbage collection, Section IV-C.2).
 ///
 /// Must only be called once every executor has finished processing the batch.
-pub fn collapse_versioned(store: &StateStore, chains: &[Arc<OperationChain>]) {
-    for chain in chains {
-        // Every operation of a chain targets the chain's state, so the first
-        // one carries the state's slot.
-        let Some(op) = chain.iter().next() else {
-            continue;
-        };
-        if let Ok(record) = resolve_record(store, op.target, op.slot, None) {
+pub fn collapse_versioned(store: &StateStore, versioned: &[VersionedState]) {
+    for state in versioned {
+        if let Ok(record) = resolve_record(store, state.target, state.slot, None) {
             record.collapse_versions();
         }
     }
@@ -551,17 +556,12 @@ pub fn replay_batch_serially(
     }
     drop(arena);
 
-    // ---- 2. Gather the batch's operations back out of the chains, as
-    // *references*: the chain snapshots keep the `Arc`s alive for the whole
-    // replay, so not a single `Operation` (or its blotter handle) is cloned.
-    // One unstable sort by (ts, op_index) recovers both the serial
+    // ---- 2. Gather the batch's operations back out of the frozen logs, as
+    // *references*: not a single `Operation` (or its blotter handle) is
+    // cloned.  One unstable sort by (ts, op_index) recovers both the serial
     // transaction order and the issue order within each transaction.
-    let snapshots: Vec<Arc<OperationChain>> = pools
-        .pools()
-        .iter()
-        .flat_map(|pool| pool.snapshot())
-        .collect();
-    let mut ops: Vec<&Operation> = snapshots.iter().flat_map(|chain| chain.iter()).collect();
+    let frozen = pools.freeze();
+    let mut ops: Vec<&Operation> = frozen.iter().flat_map(|pool| pool.operations()).collect();
     ops.sort_unstable_by_key(|op| (op.ts, op.op_index));
 
     // ---- 3. Re-execute serially in timestamp order through the shared
@@ -641,9 +641,6 @@ mod tests {
             let (txn, _) = b.build();
             decompose(&pools, txn);
         }
-        for pool in pools.pools() {
-            pool.prepare_tasks();
-        }
         let abort_log = BatchAbortLog::new();
         let context = ctx(
             &pools,
@@ -705,15 +702,12 @@ mod tests {
                 let (txn, _) = b.build();
                 decompose(&pools, txn);
             }
-            for pool in pools.pools() {
-                pool.prepare_tasks();
-            }
 
             // Two executors process the (single, shared) pool concurrently
             // with work stealing, so the two chains can be walked by
             // different threads.
             let abort_log = BatchAbortLog::new();
-            let stats: Vec<(ChainStats, Vec<Arc<OperationChain>>)> = std::thread::scope(|s| {
+            let stats: Vec<(ChainStats, Vec<VersionedState>)> = std::thread::scope(|s| {
                 let handles: Vec<_> = (0..2)
                     .map(|e| {
                         let pools = &pools;
@@ -742,8 +736,7 @@ mod tests {
                 handles.into_iter().map(|h| h.join().unwrap()).collect()
             });
 
-            let versioned: Vec<Arc<OperationChain>> =
-                stats.into_iter().flat_map(|(_, v)| v).collect();
+            let versioned: Vec<VersionedState> = stats.into_iter().flat_map(|(_, v)| v).collect();
             collapse_versioned(&store, &versioned);
 
             // key0 goes 10,20,30,40 at ts 0,2,4,6; transfers at ts 1,3,5,7 add
@@ -778,9 +771,6 @@ mod tests {
         });
         let (txn, blotter) = b.build();
         decompose(&pools, txn);
-        for pool in pools.pools() {
-            pool.prepare_tasks();
-        }
         let abort_log = BatchAbortLog::new();
         let context = ctx(
             &pools,
@@ -847,9 +837,6 @@ mod tests {
             let (txn, blotter) = b.build();
             decompose(&pools, txn);
             blotters.push(blotter);
-        }
-        for pool in pools.pools() {
-            pool.prepare_tasks();
         }
 
         let abort_log = BatchAbortLog::new();
@@ -952,7 +939,7 @@ mod tests {
             decompose(&pools, txn);
         }
         assert!(pools
-            .find_chain(StateRef::new(0, 0))
+            .find_chain(&pools.freeze(), StateRef::new(0, 0))
             .unwrap()
             .is_depended_upon());
         let abort_log = BatchAbortLog::new();

@@ -1,11 +1,14 @@
 //! The spawn-once background WAL-writer thread.
 //!
 //! Group commit moves the per-window `write` + `fsync` off the ingestion
-//! thread: when a durable session's frame buffer fills its group-commit
+//! thread: when a durable session syncs every window
+//! (`FsyncPolicy::Always`) and its frame buffer fills the group-commit
 //! window, the window is handed to this writer, which commits windows **in
 //! submission order, one at a time** — the FIFO ordering the
 //! [`tstream_recovery::DurableLog`] relies on as its flush barrier — while
-//! the ingestion thread keeps buffering the next window.
+//! the ingestion thread keeps buffering the next window.  Under the other
+//! policies a window is one buffered `write`, done where it is: cheaper than
+//! the wake-up, and the writer stays idle.
 //!
 //! The thread follows the same spawn-once discipline as the executor
 //! threads: it is created lazily by [`crate::runtime::ExecutorPool`] the

@@ -517,10 +517,12 @@ impl RecoveryCoordinator {
 ///
 /// Appends/seals come from the ingestion thread; checkpoints and truncation
 /// from the executor leader at the end-of-batch barrier.  When a
-/// [`FlushExecutor`] is attached, full group-commit windows are written (and
-/// synced, per policy) on its writer thread while the ingestion thread keeps
-/// buffering the next window; at most one window is in flight, and `seal`
-/// drains the pipeline before stamping the batch durable.
+/// [`FlushExecutor`] is attached and the policy syncs every window
+/// ([`FsyncPolicy::Always`]), full group-commit windows are written and
+/// synced on its writer thread while the ingestion thread keeps buffering
+/// the next window; at most one window is in flight, and `seal` drains the
+/// pipeline before stamping the batch durable.  Windows that are not synced
+/// are written inline.
 pub struct DurableLog {
     wal: Arc<Mutex<SegmentedWal>>,
     checkpointer: Checkpointer,
@@ -625,15 +627,20 @@ impl DurableLog {
     /// Append one event to the active WAL segment (creating it if needed).
     ///
     /// The frame is encoded straight into the writer's reusable buffer; if
-    /// that fills the group-commit window, the window is handed to the
-    /// attached [`FlushExecutor`] (or flushed inline when none is attached).
+    /// that fills the group-commit window, a window the policy syncs is
+    /// handed to the attached [`FlushExecutor`].  A window that is only
+    /// written ([`FsyncPolicy::OnSeal`], [`FsyncPolicy::Never`]) is flushed
+    /// inline, as is every window when no executor is attached: one buffered
+    /// `write` costs less than waking another thread for it, and costs the
+    /// same from one batch to the next, which a hand-off on a host with as
+    /// many busy threads as CPUs does not.
     pub fn append<P: WalPayload>(&self, payload: &P) -> StateResult<()> {
         let mut wal = self.wal.lock();
         let window_full = wal.append_deferred(|buf| payload.encode_wal(buf))?;
         if !window_full {
             return Ok(());
         }
-        if self.executor.is_none() {
+        if self.executor.is_none() || !wal.syncs_windows() {
             return wal.flush_window();
         }
         let window = wal.take_window()?;

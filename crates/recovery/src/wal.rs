@@ -576,6 +576,13 @@ impl SegmentedWal {
         self.group
     }
 
+    /// Whether a full window is forced to disk ([`FsyncPolicy::Always`]).
+    /// Only such a window is worth writing on another thread: without the
+    /// sync, committing it is one buffered `write`.
+    pub fn syncs_windows(&self) -> bool {
+        self.fsync == FsyncPolicy::Always
+    }
+
     /// Append one encoded event to the active segment, creating the segment
     /// if this is the first event since the last seal.  The frame lands in
     /// the reusable in-memory buffer; when the group-commit window fills,
@@ -690,7 +697,7 @@ impl SegmentedWal {
         Ok(Some(PendingWindow {
             frames,
             file,
-            sync: self.fsync == FsyncPolicy::Always,
+            sync: self.syncs_windows(),
         }))
     }
 

@@ -11,7 +11,7 @@
 //! slot.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 use tstream_state::Value;
@@ -26,8 +26,10 @@ pub struct EventBlotter {
     /// operation's index within the transaction.  Slots are independent
     /// one-shot cells (an operation only ever writes its own slot), but they
     /// can be cleared wholesale by [`EventBlotter::reset`] when the engine
-    /// replays a batch after a multi-write abort.
-    results: Box<[Mutex<Option<Value>>]>,
+    /// replays a batch after a multi-write abort.  Sized once: by `new`, or —
+    /// for the blotter a `TxnBuilder` hands to operations while it is still
+    /// counting them — when the transaction is built.
+    results: OnceLock<Box<[Mutex<Option<Value>>]>>,
     aborted: AtomicBool,
     abort_reason: Mutex<Option<String>>,
 }
@@ -35,16 +37,35 @@ pub struct EventBlotter {
 impl EventBlotter {
     /// Creates a blotter with `ops` result slots and returns a shared handle.
     pub fn new(ops: usize) -> BlotterHandle {
+        let blotter = Self::unsized_yet();
+        blotter.size(ops);
+        blotter
+    }
+
+    /// A blotter whose slot count is not known yet (zero until [`Self::size`]).
+    pub(crate) fn unsized_yet() -> BlotterHandle {
         Arc::new(EventBlotter {
-            results: (0..ops).map(|_| Mutex::new(None)).collect(),
+            results: OnceLock::new(),
             aborted: AtomicBool::new(false),
             abort_reason: Mutex::new(None),
         })
     }
 
+    /// Give an [`Self::unsized_yet`] blotter its `ops` result slots.
+    pub(crate) fn size(&self, ops: usize) {
+        let sized = self
+            .results
+            .set((0..ops).map(|_| Mutex::new(None)).collect());
+        debug_assert!(sized.is_ok(), "a blotter is sized once");
+    }
+
+    fn results(&self) -> &[Mutex<Option<Value>>] {
+        self.results.get().map_or(&[], |slots| slots)
+    }
+
     /// Number of result slots.
     pub fn slots(&self) -> usize {
-        self.results.len()
+        self.results().len()
     }
 
     /// Record the result of operation `op_index`.  The first write wins;
@@ -52,7 +73,7 @@ impl EventBlotter {
     /// per committed transaction, retries after aborts keep the first value
     /// unless the slot was [`EventBlotter::reset`] in between).
     pub fn record(&self, op_index: usize, value: Value) {
-        if let Some(slot) = self.results.get(op_index) {
+        if let Some(slot) = self.results().get(op_index) {
             let mut slot = slot.lock();
             if slot.is_none() {
                 *slot = Some(value);
@@ -62,7 +83,16 @@ impl EventBlotter {
 
     /// Read the result of operation `op_index`, if it was recorded.
     pub fn result(&self, op_index: usize) -> Option<Value> {
-        self.results.get(op_index).and_then(|s| s.lock().clone())
+        self.with_result(op_index, Value::clone)
+    }
+
+    /// Look at the result of operation `op_index` in place, if it was
+    /// recorded — for readers that do not keep the value (a clone of a
+    /// `Value::Str` is a refcount round-trip on a line the writer may own).
+    pub fn with_result<R>(&self, op_index: usize, f: impl FnOnce(&Value) -> R) -> Option<R> {
+        self.results()
+            .get(op_index)
+            .and_then(|slot| slot.lock().as_ref().map(f))
     }
 
     /// Clear every result slot and the abort flag.
@@ -72,7 +102,7 @@ impl EventBlotter {
     /// every transaction of the batch against restored state, so results and
     /// abort decisions recorded by the first pass must be discarded.
     pub fn reset(&self) {
-        for slot in self.results.iter() {
+        for slot in self.results() {
             *slot.lock() = None;
         }
         self.aborted.store(false, Ordering::Release);
@@ -123,6 +153,8 @@ mod tests {
         b.record(2, Value::Double(1.5));
         assert_eq!(b.result(0), Some(Value::Long(7)));
         assert_eq!(b.result(1), None);
+        assert_eq!(b.with_result(0, |v| v.as_long().unwrap()), Some(7));
+        assert_eq!(b.with_result(1, |_| ()), None);
         assert_eq!(b.result_long(0), 7);
         assert_eq!(b.result_double(2), 1.5);
         assert_eq!(b.result_long(1), 0, "missing results default to zero");

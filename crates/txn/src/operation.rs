@@ -49,10 +49,20 @@ pub struct OpCtx<'a> {
     pub ts: Timestamp,
 }
 
-/// User function of a WRITE / READ_MODIFY operation: computes the new value
-/// (possibly from the current value and a dependency) or signals a
-/// consistency violation, which aborts the transaction.
-pub type OpFunc = Arc<dyn Fn(&OpCtx<'_>) -> StateResult<Value> + Send + Sync>;
+/// A user function of a WRITE / READ_MODIFY operation.
+pub type UserFn = dyn Fn(&OpCtx<'_>) -> StateResult<Value> + Send + Sync;
+
+/// How a WRITE / READ_MODIFY operation produces the value it installs.
+#[derive(Clone)]
+pub enum OpFunc {
+    /// `WRITE(key, v)`: install `v` whatever the state holds.  Carried
+    /// inline, so issuing the operation allocates nothing.
+    Const(Value),
+    /// A user function: computes the new value (possibly from the current
+    /// value and a dependency) or signals a consistency violation, which
+    /// aborts the transaction.
+    Dyn(Arc<UserFn>),
+}
 
 /// Sentinel for an operation whose target (or dependency) has not been
 /// resolved to a record slot.  Execution falls back to the keyed index
@@ -127,12 +137,14 @@ impl Operation {
                         self.op_index, self.ts
                     ))
                 })?;
-                let ctx = OpCtx {
-                    current,
-                    dependency,
-                    ts: self.ts,
+                let new_value = match func {
+                    OpFunc::Const(value) => value.clone(),
+                    OpFunc::Dyn(func) => func(&OpCtx {
+                        current,
+                        dependency,
+                        ts: self.ts,
+                    })?,
                 };
-                let new_value = func(&ctx)?;
                 if self.access == AccessType::ReadModify {
                     self.blotter
                         .record(self.op_index as usize, new_value.clone());
@@ -187,9 +199,9 @@ mod tests {
             access: AccessType::ReadModify,
             dependency: None,
             dep_slot: INVALID_SLOT,
-            func: Some(Arc::new(|ctx: &OpCtx<'_>| {
+            func: Some(OpFunc::Dyn(Arc::new(|ctx: &OpCtx<'_>| {
                 Ok(Value::Long(ctx.current.as_long()? + 10))
-            })),
+            }))),
             blotter: b.clone(),
         };
         let out = op.evaluate(&Value::Long(5), None).unwrap();
@@ -208,7 +220,7 @@ mod tests {
             access: AccessType::Write,
             dependency: Some(StateRef::new(0, 3)),
             dep_slot: INVALID_SLOT,
-            func: Some(Arc::new(|ctx: &OpCtx<'_>| {
+            func: Some(OpFunc::Dyn(Arc::new(|ctx: &OpCtx<'_>| {
                 let src = ctx.dependency.expect("dependency required").as_long()?;
                 if src >= 100 {
                     Ok(Value::Long(ctx.current.as_long()? + 100))
@@ -217,7 +229,7 @@ mod tests {
                         "insufficient balance".into(),
                     ))
                 }
-            })),
+            }))),
             blotter: b,
         };
         // Enough balance: the write succeeds.

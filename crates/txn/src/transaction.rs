@@ -84,25 +84,10 @@ impl StateTransaction {
 #[derive(Debug)]
 pub struct TxnBuilder {
     ts: Timestamp,
-    ops: Vec<PendingOp>,
-}
-
-struct PendingOp {
-    target: StateRef,
-    access: AccessType,
-    dependency: Option<StateRef>,
-    func: Option<OpFunc>,
-}
-
-impl std::fmt::Debug for PendingOp {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PendingOp")
-            .field("target", &self.target)
-            .field("access", &self.access)
-            .field("dependency", &self.dependency)
-            .field("has_func", &self.func.is_some())
-            .finish()
-    }
+    ops: Vec<Operation>,
+    /// Shared with every operation as it is issued; its result slots are
+    /// sized when the transaction is built and their number is known.
+    blotter: BlotterHandle,
 }
 
 impl TxnBuilder {
@@ -111,6 +96,7 @@ impl TxnBuilder {
         TxnBuilder {
             ts,
             ops: Vec::new(),
+            blotter: EventBlotter::unsized_yet(),
         }
     }
 
@@ -129,20 +115,22 @@ impl TxnBuilder {
         self.ops.is_empty()
     }
 
+    /// Make room for `additional` more operations at once; worth calling
+    /// for a long transaction whose length is known up front.
+    pub fn reserve(&mut self, additional: usize) {
+        self.ops.reserve_exact(additional);
+    }
+
     /// `READ(table, key)`: read a state; its value becomes available in the
     /// blotter slot with this operation's index.  Returns the slot index.
     pub fn read(&mut self, table: u32, key: u64) -> usize {
-        self.push(PendingOp {
-            target: StateRef::new(table, key),
-            access: AccessType::Read,
-            dependency: None,
-            func: None,
-        })
+        self.issue(table, key, AccessType::Read, None, None)
     }
 
     /// `WRITE(table, key, v)`: unconditionally overwrite a state.
     pub fn write_value(&mut self, table: u32, key: u64, value: Value) -> usize {
-        self.write_with(table, key, None, move |_ctx| Ok(value.clone()))
+        let func = Some(OpFunc::Const(value));
+        self.issue(table, key, AccessType::Write, None, func)
     }
 
     /// `WRITE(table, key, Fun, CFun)`: overwrite a state with a computed
@@ -155,12 +143,8 @@ impl TxnBuilder {
         dependency: Option<StateRef>,
         func: impl Fn(&OpCtx<'_>) -> StateResult<Value> + Send + Sync + 'static,
     ) -> usize {
-        self.push(PendingOp {
-            target: StateRef::new(table, key),
-            access: AccessType::Write,
-            dependency,
-            func: Some(Arc::new(func)),
-        })
+        let func = Some(OpFunc::Dyn(Arc::new(func)));
+        self.issue(table, key, AccessType::Write, dependency, func)
     }
 
     /// `READ_MODIFY(table, key, Fun, CFun)`: read-modify-write a state; the
@@ -172,48 +156,43 @@ impl TxnBuilder {
         dependency: Option<StateRef>,
         func: impl Fn(&OpCtx<'_>) -> StateResult<Value> + Send + Sync + 'static,
     ) -> usize {
-        self.push(PendingOp {
+        let func = Some(OpFunc::Dyn(Arc::new(func)));
+        self.issue(table, key, AccessType::ReadModify, dependency, func)
+    }
+
+    fn issue(
+        &mut self,
+        table: u32,
+        key: u64,
+        access: AccessType,
+        dependency: Option<StateRef>,
+        func: Option<OpFunc>,
+    ) -> usize {
+        let op_index = self.ops.len();
+        self.ops.push(Operation {
+            ts: self.ts,
+            op_index: op_index as u32,
             target: StateRef::new(table, key),
-            access: AccessType::ReadModify,
+            slot: INVALID_SLOT,
+            access,
             dependency,
-            func: Some(Arc::new(func)),
-        })
+            dep_slot: INVALID_SLOT,
+            func,
+            blotter: self.blotter.clone(),
+        });
+        op_index
     }
 
-    fn push(&mut self, op: PendingOp) -> usize {
-        let idx = self.ops.len();
-        self.ops.push(op);
-        idx
-    }
-
-    /// Finish building: allocate the blotter (one result slot per operation)
+    /// Finish building: size the blotter (one result slot per operation)
     /// and produce the transaction.
     pub fn build(self) -> (StateTransaction, BlotterHandle) {
-        let blotter = EventBlotter::new(self.ops.len());
-        let ops = self
-            .ops
-            .into_iter()
-            .enumerate()
-            .map(|(i, p)| Operation {
-                ts: self.ts,
-                op_index: i as u32,
-                target: p.target,
-                slot: INVALID_SLOT,
-                access: p.access,
-                dependency: p.dependency,
-                dep_slot: INVALID_SLOT,
-                func: p.func,
-                blotter: blotter.clone(),
-            })
-            .collect();
-        (
-            StateTransaction {
-                ts: self.ts,
-                ops,
-                blotter: blotter.clone(),
-            },
-            blotter,
-        )
+        self.blotter.size(self.ops.len());
+        let txn = StateTransaction {
+            ts: self.ts,
+            ops: self.ops,
+            blotter: self.blotter.clone(),
+        };
+        (txn, self.blotter)
     }
 }
 
@@ -273,7 +252,7 @@ mod tests {
     }
 
     #[test]
-    fn write_value_closure_produces_constant() {
+    fn write_value_produces_constant() {
         let mut b = TxnBuilder::new(0);
         b.write_value(0, 0, Value::Long(77));
         let (txn, _) = b.build();

@@ -18,7 +18,9 @@
 //!   primary's durable log to a continuously-replaying standby, takeover
 //!   (`promote`) and per-epoch divergence detection;
 //! * [`stream`] — events, punctuation barriers, operators, topologies;
-//! * [`skiplist`] — the concurrent skip list backing the state indexes;
+//! * [`skiplist`] — a concurrent skip list; no engine crate uses it any more
+//!   (operation chains are sorted runs of flat logs), the benchmark's
+//!   `skiplist.*` rungs still measure it;
 //! * [`obs`] — the observability layer: lock-free metrics hub, flight
 //!   recorder, and the clock facade behind every runtime timestamp;
 //! * [`apps`] — the paper's four benchmark applications (GS, SL, OB, TP).

@@ -1,21 +1,26 @@
 //! Property-based tests over the core data structures and invariants, using
-//! proptest: the concurrent skip list, the version chains, the Zipf sampler,
-//! the queued record lock and the schedule produced by TStream on randomly
-//! generated micro-workloads.
+//! proptest: the concurrent skip list, flat filing into operation chains, the
+//! version chains, the Zipf sampler, the queued record lock and the schedule
+//! produced by TStream on randomly generated micro-workloads.
 
-use std::collections::HashSet;
-use std::sync::Arc;
+use std::collections::{BTreeMap, BTreeSet, HashSet};
+use std::sync::{Arc, Barrier};
 
 use proptest::prelude::*;
 use tstream_apps::conventional;
 use tstream_apps::workload::{Rng, Zipf};
-use tstream_core::{Engine, EngineConfig, Scheme};
+use tstream_core::restructure::{self, BatchAbortLog, RestructureContext};
+use tstream_core::{
+    ChainPlacement, ChainPoolSet, DependencyResolution, Engine, EngineConfig, Scheme,
+};
 use tstream_skiplist::ConcurrentSkipList;
 use tstream_state::checkpoint::StoreSnapshot;
 use tstream_state::codec;
 use tstream_state::{StateStore, TableBuilder, TableId, Value, VersionChain};
+use tstream_stream::executor::{ExecutorId, ExecutorLayout};
+use tstream_stream::metrics::Breakdown;
 use tstream_stream::operator::{AccessMode, ReadWriteSet, StateRef};
-use tstream_txn::{Application, EventBlotter, PostAction, TxnBuilder};
+use tstream_txn::{Application, EventBlotter, ExecEnv, Operation, PostAction, TxnBuilder};
 
 /// proptest strategy producing an arbitrary state [`Value`].
 fn value_strategy() -> impl Strategy<Value = Value> {
@@ -179,6 +184,167 @@ proptest! {
         for state in set.write_set() {
             prop_assert!(entries.iter().any(|&(t, k, w)| w && StateRef::new(t, k) == state));
         }
+    }
+}
+
+/// States the filing property files under; dependencies may also name the
+/// keys from here up to [`FILING_KEYS`], which never get a chain of their own.
+const FILED_KEYS: u64 = 40;
+/// Keys of the filing property's store.
+const FILING_KEYS: u64 = 48;
+
+/// One generated access: target key, kind (0 reads, 1 modifies, 2 modifies
+/// depending on the third field) and a dependency key.
+type Access = (u64, u8, u64);
+
+/// The operations of the generated transactions (distinct timestamps, one to
+/// four accesses each; a transaction may touch a state twice).
+fn filing_ops(txns: &[(u64, Vec<Access>)]) -> Vec<Operation> {
+    let mut seen = HashSet::new();
+    let mut ops = Vec::new();
+    for (ts, accesses) in txns.iter().filter(|(ts, _)| seen.insert(*ts)) {
+        let mut txn = TxnBuilder::new(*ts);
+        for &(key, kind, dep) in accesses {
+            if kind == 0 {
+                txn.read(0, key);
+            } else {
+                let dep = (kind == 2).then_some(StateRef::new(0, dep));
+                txn.read_modify(0, key, dep, |ctx| {
+                    Ok(Value::Long(ctx.current.as_long()?.wrapping_add(1)))
+                });
+            }
+        }
+        ops.extend(txn.build().0.ops);
+    }
+    ops
+}
+
+/// File `ops` from `threads` threads released together, freeze, and check
+/// the frozen chains against the model built from `ops` alone; then evaluate
+/// the batch and clear the pools.
+fn file_freeze_and_check(
+    pools: &ChainPoolSet,
+    store: &StateStore,
+    ops: Vec<Operation>,
+    threads: usize,
+) {
+    let mut model: BTreeMap<StateRef, Vec<(u64, u32)>> = BTreeMap::new();
+    let mut depended_upon = BTreeSet::new();
+    let mut dependent = BTreeSet::new();
+    for op in &ops {
+        model
+            .entry(op.target)
+            .or_default()
+            .push((op.ts, op.op_index));
+        if let Some(dep) = op.dependency {
+            depended_upon.insert(dep);
+            dependent.insert(op.target);
+        }
+    }
+    model.values_mut().for_each(|keys| keys.sort_unstable());
+    let total = ops.len();
+
+    let mut shares: Vec<Vec<Operation>> = (0..threads).map(|_| Vec::new()).collect();
+    for (i, op) in ops.into_iter().enumerate() {
+        shares[i % threads].push(op);
+    }
+    let start = Barrier::new(threads);
+    std::thread::scope(|s| {
+        for share in shares {
+            let start = &start;
+            s.spawn(move || {
+                start.wait();
+                for op in share {
+                    pools.chain_for_op(&op).insert(op);
+                }
+            });
+        }
+    });
+
+    let mut frozen_model = BTreeMap::new();
+    for pool in pools.pools() {
+        pool.for_each_chain(|chain| {
+            let keys: Vec<(u64, u32)> = chain.iter().map(|op| (op.ts, op.op_index)).collect();
+            assert!(chain.iter().all(|op| op.target == chain.state()));
+            assert_eq!(
+                chain.is_depended_upon(),
+                depended_upon.contains(&chain.state())
+            );
+            assert_eq!(chain.has_dependencies(), dependent.contains(&chain.state()));
+            assert!(
+                frozen_model.insert(chain.state(), keys).is_none(),
+                "one chain per state"
+            );
+        });
+    }
+    assert_eq!(frozen_model, model);
+    let frozen = pools.freeze();
+    for key in 0..FILING_KEYS {
+        let state = StateRef::new(0, key);
+        let found = pools.find_chain(&frozen, state).map(|chain| chain.len());
+        assert_eq!(found, model.get(&state).map(Vec::len), "{state:?}");
+    }
+    drop(frozen);
+
+    // Filing into the frozen batch fails loudly and leaves it untouched.
+    let late = filing_ops(&[(u64::MAX, vec![(0, 1, 0)])]).remove(0);
+    let slot = pools.chain_for_op(&late);
+    let refused = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| slot.insert(late)));
+    assert!(refused.is_err(), "insert after the freeze must panic");
+    assert_eq!(pools.total_chains(), model.len());
+
+    // A dependency on a state with no chain blocks nothing and leaves
+    // nothing to collapse: evaluation terminates and versions exactly the
+    // depended-upon states that have a chain.
+    let abort_log = BatchAbortLog::new();
+    let ctx = RestructureContext {
+        pools,
+        store,
+        env: ExecEnv::single(),
+        resolution: DependencyResolution::FineGrained,
+        work_stealing: false,
+        classify_remote: false,
+        single_executor: true,
+        abort_log: &abort_log,
+    };
+    let (stats, versioned) =
+        restructure::process_assigned(&ctx, pools.assignment(ExecutorId(0)), &mut Breakdown::new());
+    assert_eq!(stats.chains, model.len());
+    assert_eq!(stats.ops + stats.skipped, total);
+    let with_chain = depended_upon
+        .iter()
+        .filter(|dep| model.contains_key(dep))
+        .count();
+    assert_eq!(versioned.len(), with_chain);
+    restructure::collapse_versioned(store, &versioned);
+
+    pools.clear_all();
+    assert_eq!(pools.total_chains(), 0);
+    pools.clear_all();
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Flat filing against a model: whatever the thread count, interleaving
+    /// and timestamp order of the inserts, the freeze yields exactly one
+    /// chain per state holding that state's operations in `(ts, op_index)`
+    /// order — on a fresh pool set and again after `clear_all`.
+    #[test]
+    fn filing_freezes_into_the_model(
+        txns in proptest::collection::vec(
+            (0u64..2_000, proptest::collection::vec(
+                (0..FILED_KEYS, 0u8..3, 0..FILING_KEYS), 1..5)),
+            1..120,
+        ),
+        threads in 1usize..5,
+    ) {
+        let store = affine_store(FILING_KEYS);
+        let pools = ChainPoolSet::new(ChainPlacement::SharedNothing, ExecutorLayout::new(1, 10), 1);
+        let ops = filing_ops(&txns);
+        let again: Vec<Operation> = ops.iter().rev().step_by(2).cloned().collect();
+        file_freeze_and_check(&pools, &store, ops, threads);
+        file_freeze_and_check(&pools, &store, again, threads);
     }
 }
 
