@@ -131,8 +131,7 @@ impl Application for TollProcessing {
             // segment is congested (slow traffic, many unique vehicles).
             let speed = blotter.result_double(0);
             let vehicles = blotter
-                .result(1)
-                .and_then(|v| v.as_set().ok().map(|s| s.len() as i64))
+                .with_result(1, |v| v.as_set().map_or(0, |s| s.len() as i64))
                 .unwrap_or(0);
             let toll = if speed < 40.0 && vehicles > 5 {
                 2 * (vehicles - 5) * (vehicles - 5)

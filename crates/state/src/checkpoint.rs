@@ -204,11 +204,16 @@ impl StoreSnapshot {
     /// must be positioned right after the header/manifest and is required to
     /// be fully consumed.
     pub(crate) fn decode_body(reader: &mut Reader<'_>) -> StateResult<Self> {
-        let table_count = reader.u32()? as usize;
+        // Counts come from the file: bound each by what the remaining bytes
+        // can hold (a table is at least a name length and a record count, a
+        // record at least a key and a value tag) before allocating for it.
+        let table_count = reader.u32()?;
+        let table_count = reader.bounded_count(table_count.into(), 12, "tables")?;
         let mut tables = Vec::with_capacity(table_count);
         for _ in 0..table_count {
             let name = reader.string()?;
-            let record_count = reader.u64()? as usize;
+            let record_count = reader.u64()?;
+            let record_count = reader.bounded_count(record_count, 9, "records")?;
             let mut entries = Vec::with_capacity(record_count);
             for _ in 0..record_count {
                 let key = reader.u64()?;
@@ -491,6 +496,26 @@ mod tests {
             .build()
             .unwrap();
         StateStore::new(vec![accounts, speeds]).unwrap()
+    }
+
+    #[test]
+    fn hostile_counts_are_rejected_before_allocating() {
+        // Checkpoints carry no checksum and decode on the recovery path: a
+        // count the file cannot back must be an error, not a reservation
+        // (`Vec::with_capacity(u64::MAX)` panics with "capacity overflow").
+        let mut tables = Vec::new();
+        codec::put_snapshot_header(&mut tables, codec::SNAPSHOT_VERSION_PLAIN);
+        let mut records = tables.clone();
+        tables.extend_from_slice(&u32::MAX.to_le_bytes());
+        records.extend_from_slice(&1u32.to_le_bytes());
+        codec::put_string(&mut records, "accounts");
+        records.extend_from_slice(&u64::MAX.to_le_bytes());
+        for bytes in [tables, records] {
+            assert!(matches!(
+                StoreSnapshot::decode(&bytes),
+                Err(StateError::Corrupted(_))
+            ));
+        }
     }
 
     #[test]

@@ -22,14 +22,14 @@
 //!   tag 1 = Long   i64
 //!   tag 2 = Double f64 bit pattern
 //!   tag 3 = Str    u32:len bytes (UTF-8)
-//!   tag 4 = Set    u32:len u64*   (ids sorted ascending so encoding is
-//!                                  deterministic)
+//!   tag 4 = Set    u32:len u64*   (ids strictly ascending, so encoding is
+//!                                  deterministic; the decoder rejects
+//!                                  anything else)
 //!   tag 5 = Pair   i64 i64
 //! ```
 
-use std::collections::HashSet;
-
 use crate::error::{StateError, StateResult};
+use crate::idset::IdSet;
 use crate::value::Value;
 
 /// Magic prefix of every snapshot file; a single ASCII-digit version byte
@@ -88,6 +88,24 @@ impl<'a> Reader<'a> {
     /// Read one byte.
     pub fn u8(&mut self) -> StateResult<u8> {
         Ok(self.take(1)?[0])
+    }
+
+    /// Check that `count` items of at least `item_bytes` encoded bytes each
+    /// can still follow, so a length prefix read from the input is bounded by
+    /// the input before anything is allocated for it.
+    pub(crate) fn bounded_count(
+        &self,
+        count: u64,
+        item_bytes: usize,
+        what: &str,
+    ) -> StateResult<usize> {
+        match usize::try_from(count) {
+            Ok(n) if n <= self.remaining() / item_bytes => Ok(n),
+            _ => Err(StateError::Corrupted(format!(
+                "{count} {what} claimed, {} bytes left",
+                self.remaining()
+            ))),
+        }
     }
 
     /// Skip `n` bytes without interpreting them.
@@ -189,9 +207,7 @@ pub fn encode_value(out: &mut Vec<u8>, value: &Value) {
         Value::Set(set) => {
             out.push(4);
             out.extend_from_slice(&(set.len() as u32).to_le_bytes());
-            let mut ids: Vec<u64> = set.iter().copied().collect();
-            ids.sort_unstable();
-            for id in ids {
+            for id in set.iter() {
                 out.extend_from_slice(&id.to_le_bytes());
             }
         }
@@ -211,11 +227,16 @@ pub fn decode_value(reader: &mut Reader<'_>) -> StateResult<Value> {
         2 => Ok(Value::Double(reader.f64()?)),
         3 => Ok(Value::Str(reader.string()?.into())),
         4 => {
-            let len = reader.u32()? as usize;
-            let mut set = HashSet::with_capacity(len);
-            for _ in 0..len {
-                set.insert(reader.u64()?);
-            }
+            let claimed = reader.u32()?;
+            let len = reader.bounded_count(claimed.into(), 8, "set ids")?;
+            let ids: Vec<u64> = reader
+                .take(len * 8)?
+                .chunks_exact(8)
+                .map(|id| u64::from_le_bytes(id.try_into().expect("8-byte chunk")))
+                .collect();
+            let set = IdSet::from_sorted(&ids).ok_or_else(|| {
+                StateError::Corrupted("set ids are not strictly ascending".into())
+            })?;
             Ok(Value::Set(set))
         }
         5 => Ok(Value::Pair(reader.i64()?, reader.i64()?)),
@@ -247,7 +268,7 @@ mod tests {
             Value::Str("".into()),
             Value::Str("hello tstream".into()),
             Value::Set([1u64, 9, 100_000].into_iter().collect()),
-            Value::Set(HashSet::new()),
+            Value::Set(IdSet::new()),
             Value::Pair(-1, 77),
         ];
         for v in &samples {
@@ -264,6 +285,39 @@ mod tests {
         encode_value(&mut ea, &a);
         encode_value(&mut eb, &b);
         assert_eq!(ea, eb);
+    }
+
+    fn decode_set(claimed_len: u32, ids: &[u64]) -> StateResult<Value> {
+        let mut buf = vec![4u8];
+        buf.extend_from_slice(&claimed_len.to_le_bytes());
+        for id in ids {
+            buf.extend_from_slice(&id.to_le_bytes());
+        }
+        decode_value(&mut Reader::new(&buf))
+    }
+
+    #[test]
+    fn a_set_longer_than_its_input_is_rejected_before_allocating() {
+        // `u32::MAX` ids would be a 32 GiB reservation.
+        let decoded = decode_set(u32::MAX, &[1, 2, 3]);
+        assert!(matches!(decoded, Err(StateError::Corrupted(_))));
+        assert!(matches!(
+            decode_set(4, &[1, 2, 3]),
+            Err(StateError::Corrupted(_))
+        ));
+        assert_eq!(
+            decode_set(3, &[1, 2, 3]).unwrap().as_set().unwrap().len(),
+            3
+        );
+    }
+
+    #[test]
+    fn set_ids_must_be_strictly_ascending() {
+        // No encoder writes these, and `IdSet::from_sorted` builds nodes
+        // straight from the slice: order is what makes it a set.
+        for ids in [[1u64, 3, 2], [2, 2, 5], [9, 1, 0]] {
+            assert!(matches!(decode_set(3, &ids), Err(StateError::Corrupted(_))));
+        }
     }
 
     #[test]

@@ -6,8 +6,10 @@
 //! the low-level machinery every concurrency-control scheme builds on:
 //!
 //! * [`Value`] — dynamically typed cell values (64-bit integers, doubles,
-//!   short strings and hash sets, covering the state layouts of the four
-//!   benchmark applications GS / SL / OB / TP);
+//!   short strings and sets of ids, covering the state layouts of the four
+//!   benchmark applications GS / SL / OB / TP), each cloned in constant time;
+//! * [`IdSet`] — the persistent sorted set behind `Value::Set`: versions of
+//!   a growing set share structure instead of copying it;
 //! * [`Record`] — one keyed state: the committed value, an optional committed
 //!   multi-version chain (for MVLK), a temporary per-batch version list (for
 //!   TStream's dynamic restructuring), a queued timestamp-ordered
@@ -38,6 +40,7 @@
 pub mod checkpoint;
 pub mod codec;
 pub mod error;
+pub mod idset;
 pub mod index;
 pub mod lock;
 pub mod partition;
@@ -51,6 +54,7 @@ pub mod version;
 
 pub use checkpoint::{Checkpoint, CheckpointManifest, Checkpointer, StoreSnapshot, TableSnapshot};
 pub use error::{StateError, StateResult};
+pub use idset::IdSet;
 pub use record::Record;
 pub use root::state_root;
 pub use shard::{ShardId, ShardRouter, MAX_SHARDS};

@@ -54,24 +54,15 @@ fn mix_bytes(mut h: u64, bytes: &[u8]) -> u64 {
 /// field rather than through the codec — the root never leaves memory, so
 /// it does not need the codec's byte layout, and skipping the intermediate
 /// encode buffer roughly halves the hashing cost per record.
-fn mix_value(h: u64, value: &Value, ids: &mut Vec<u64>) -> u64 {
+fn mix_value(h: u64, value: &Value) -> u64 {
     match value {
         Value::Null => mix(h, 0),
         Value::Long(v) => mix(mix(h, 1), *v as u64),
         Value::Double(v) => mix(mix(h, 2), v.to_bits()),
         Value::Str(s) => mix_bytes(mix(h, 3), s.as_bytes()),
-        Value::Set(set) => {
-            // Sets iterate in hash order; sort into the reusable scratch so
-            // equal sets digest equally on every engine.
-            ids.clear();
-            ids.extend(set.iter().copied());
-            ids.sort_unstable();
-            let mut h = mix(mix(h, 4), ids.len() as u64);
-            for id in ids.iter() {
-                h = mix(h, *id);
-            }
-            h
-        }
+        // Sets iterate in ascending order, so equal sets digest equally on
+        // every engine.
+        Value::Set(set) => set.iter().fold(mix(mix(h, 4), set.len() as u64), mix),
         Value::Pair(a, b) => mix(mix(mix(h, 5), *a as u64), *b as u64),
     }
 }
@@ -103,13 +94,12 @@ pub fn state_root(store: &StateStore) -> u64 {
     // wait at the barrier, so it must stay O(n) with the smallest constant
     // we can manage; the remaining cost is one record-lock acquire plus a
     // handful of serial multiplies per entry.
-    let mut ids: Vec<u64> = Vec::new();
     let mut root = 0u64;
     for (_, table) in store.tables() {
         let name_seed = mix_bytes(0, table.name().as_bytes());
         for (key, record) in table.iter() {
             let seeded = mix(name_seed, key);
-            let h = record.with_committed(|value| mix_value(seeded, value, &mut ids));
+            let h = record.with_committed(|value| mix_value(seeded, value));
             root = root.wrapping_add(finish(h));
         }
     }

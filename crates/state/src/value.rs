@@ -1,10 +1,10 @@
 //! Dynamically typed state values.
 
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::error::{StateError, StateResult};
+use crate::idset::IdSet;
 
 /// A single state cell.
 ///
@@ -15,7 +15,11 @@ use crate::error::{StateError, StateResult};
 ///   64-bit integer plus padding bytes so record size matches the paper);
 /// * SL — 64-bit account / asset balances;
 /// * OB — price (long) and quantity (long) pairs;
-/// * TP — average road speed (double) and a `HashSet` of vehicle ids.
+/// * TP — average road speed (double) and an [`IdSet`] of vehicle ids.
+///
+/// Every variant clones in constant time: the engine copies values into
+/// temporary versions, undo entries and event blotters on every access, so
+/// a payload that can grow — a string, a set — is shared, never duplicated.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub enum Value {
     /// Absent / uninitialised.
@@ -30,8 +34,11 @@ pub enum Value {
     /// record — is a refcount bump instead of a heap allocation; record
     /// payloads are immutable once constructed, so sharing is safe.
     Str(Arc<str>),
-    /// Set of 64-bit ids (unique vehicles per segment in TP).
-    Set(HashSet<u64>),
+    /// Set of 64-bit ids (unique vehicles per segment in TP).  Persistent:
+    /// a clone shares the whole set, and inserting into a clone copies only
+    /// the path to the new id, so each version of a growing set costs the
+    /// same however large it has become.
+    Set(IdSet),
     /// A pair of longs, used by OB items (price, quantity) so a single record
     /// keeps both fields like the paper's 50-byte bidding item.
     Pair(i64, i64),
@@ -85,7 +92,7 @@ impl Value {
     }
 
     /// Interpret as a set of ids.
-    pub fn as_set(&self) -> StateResult<&HashSet<u64>> {
+    pub fn as_set(&self) -> StateResult<&IdSet> {
         match self {
             Value::Set(s) => Ok(s),
             other => Err(StateError::TypeMismatch {
@@ -107,7 +114,10 @@ impl Value {
     }
 
     /// Approximate in-memory footprint in bytes, used to size workloads so the
-    /// record sizes quoted in Section VI-A are honoured.
+    /// record sizes quoted in Section VI-A are honoured.  A set keeps the
+    /// paper's `32 × (2 + n)` formula: the figure sizes workloads to the
+    /// paper's records, it does not measure this process's heap (where the
+    /// versions of an [`IdSet`] share most of their nodes).
     pub fn approx_size(&self) -> usize {
         match self {
             Value::Null => 0,
@@ -189,12 +199,17 @@ mod tests {
     #[test]
     fn approx_sizes_match_paper_formulas() {
         // TP vehicle-count records: ~32 * (2 + |items|) bytes.
-        let mut ids = HashSet::new();
-        ids.insert(1);
-        ids.insert(2);
-        ids.insert(3);
+        let ids: IdSet = [1, 2, 3].into_iter().collect();
         assert_eq!(Value::Set(ids).approx_size(), 32 * 5);
         assert_eq!(Value::Str("x".repeat(32).into()).approx_size(), 32);
+    }
+
+    #[test]
+    fn a_value_is_three_words() {
+        // Values move by value through operations, undo entries, blotter
+        // slots and version chains; the widest payloads (a shared string, a
+        // shared set, a pair) are two words.
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

@@ -4,12 +4,10 @@
 //! checkpoint files both build on these primitives, so a codec asymmetry
 //! here would silently corrupt recovery.
 
-use std::collections::HashSet;
-
 use proptest::prelude::*;
 use tstream_state::checkpoint::{Checkpoint, CheckpointManifest, TableSnapshot};
 use tstream_state::codec::{decode_value, encode_value, Reader};
-use tstream_state::{StoreSnapshot, Value};
+use tstream_state::{state_root, StateStore, StoreSnapshot, TableBuilder, Value};
 
 fn value_strategy() -> BoxedStrategy<Value> {
     prop_oneof![
@@ -26,7 +24,8 @@ fn value_strategy() -> BoxedStrategy<Value> {
                 .collect::<String>()
                 .into()
         )),
-        proptest::collection::hash_set(any::<u64>(), 0..24).prop_map(Value::Set),
+        proptest::collection::vec(any::<u64>(), 0..24)
+            .prop_map(|ids| Value::Set(ids.into_iter().collect())),
         (any::<i64>(), any::<i64>()).prop_map(|(a, b)| Value::Pair(a, b)),
     ]
     .boxed()
@@ -120,12 +119,37 @@ proptest! {
     /// Set encoding is canonical regardless of insertion/iteration order.
     #[test]
     fn set_encoding_is_order_independent(ids in proptest::collection::vec(any::<u64>(), 0..32)) {
-        let forward: HashSet<u64> = ids.iter().copied().collect();
-        let reverse: HashSet<u64> = ids.iter().rev().copied().collect();
         let mut a = Vec::new();
         let mut b = Vec::new();
-        encode_value(&mut a, &Value::Set(forward));
-        encode_value(&mut b, &Value::Set(reverse));
+        encode_value(&mut a, &Value::Set(ids.iter().copied().collect()));
+        encode_value(&mut b, &Value::Set(ids.iter().rev().copied().collect()));
         prop_assert_eq!(a, b);
     }
+}
+
+/// The codec and the state root write a set exactly as they did while sets
+/// were hash tables sorted on the way out (constants captured at 48b9ec1), so
+/// checkpoints, WAL-recovered stores and a standby's per-epoch roots carry
+/// over unchanged.
+#[test]
+fn set_bytes_and_state_root_match_the_hash_set_era() {
+    let value = Value::Set([1u64 << 40, 7, 100_000].into_iter().collect());
+    let mut bytes = Vec::new();
+    encode_value(&mut bytes, &value);
+    #[rustfmt::skip]
+    let expected = [
+        4, 3, 0, 0, 0,
+        7, 0, 0, 0, 0, 0, 0, 0,
+        160, 134, 1, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 1, 0, 0,
+    ];
+    assert_eq!(bytes, expected);
+    assert_eq!(decode_value(&mut Reader::new(&bytes)).unwrap(), value);
+
+    let table = TableBuilder::new("vehicle_cnt")
+        .extend([(3u64, value), (4u64, Value::Set(Default::default()))])
+        .build()
+        .unwrap();
+    let store = StateStore::new(vec![table]).unwrap();
+    assert_eq!(state_root(&store), 0xa57f_6fb2_d656_fc13);
 }

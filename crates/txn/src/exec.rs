@@ -233,6 +233,12 @@ mod tests {
     use tstream_state::TableBuilder;
     use tstream_stream::executor::{ExecutorId, ExecutorLayout};
 
+    #[test]
+    fn an_undo_entry_stays_within_fifty_six_bytes() {
+        // One is pushed per applied write and kept until the batch commits.
+        assert!(std::mem::size_of::<UndoEntry>() <= 56);
+    }
+
     fn store() -> std::sync::Arc<StateStore> {
         let t = TableBuilder::new("accounts")
             .extend((0..10u64).map(|k| (k, Value::Long(100))))

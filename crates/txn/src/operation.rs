@@ -165,6 +165,13 @@ mod tests {
     use super::*;
     use crate::blotter::EventBlotter;
 
+    #[test]
+    fn an_operation_stays_within_ninety_six_bytes() {
+        // Operations move by value into the chain logs; PR 14 measured 8-10 %
+        // of GS throughput from one extra move of an 88-byte operation.
+        assert!(std::mem::size_of::<Operation>() <= 96);
+    }
+
     fn read_op(blotter: BlotterHandle) -> Operation {
         Operation {
             ts: 1,

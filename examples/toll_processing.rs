@@ -80,8 +80,8 @@ fn main() {
             let busiest = store
                 .table(TableId(tp::COUNT_TABLE))
                 .iter()
-                .max_by_key(|(_, r)| r.read_committed().as_set().map(|s| s.len()).unwrap_or(0))
-                .map(|(k, r)| (k, r.read_committed().as_set().unwrap().len()))
+                .map(|(k, r)| (k, r.with_committed(|v| v.as_set().unwrap().len())))
+                .max_by_key(|&(_, vehicles)| vehicles)
                 .unwrap();
             println!(
                 "    busiest segment: {} with {} unique vehicles, avg speed {:.1}",

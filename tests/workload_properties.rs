@@ -31,7 +31,8 @@ fn value_strategy() -> impl Strategy<Value = Value> {
         // definition, and application state never stores NaN).
         (-1.0e12f64..1.0e12).prop_map(Value::Double),
         "[a-zA-Z0-9 ]{0,40}".prop_map(|s: String| Value::Str(s.into())),
-        proptest::collection::hash_set(any::<u64>(), 0..20).prop_map(Value::Set),
+        proptest::collection::vec(any::<u64>(), 0..20)
+            .prop_map(|ids| Value::Set(ids.into_iter().collect())),
         (any::<i64>(), any::<i64>()).prop_map(|(a, b)| Value::Pair(a, b)),
     ]
 }
