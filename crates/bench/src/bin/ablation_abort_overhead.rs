@@ -2,8 +2,10 @@
 //!
 //! TStream decomposes every transaction into per-state operations and spreads
 //! them over many chains, so aborting a multi-write transaction is expensive:
-//! the batch has to be rolled back and replayed serially to preserve the
-//! correct schedule.  The eager schemes only undo the offending transaction.
+//! its writes in other chains, and everything that read them since, have to
+//! be rolled back and replayed serially to preserve the correct schedule —
+//! and every executor waits at one more barrier while the leader does so.
+//! The eager schemes only undo the offending transaction.
 //! This harness injects a controlled fraction of aborting ten-write GS
 //! transactions and measures how each scheme's throughput degrades — the
 //! quantitative version of the limitation the paper states qualitatively.
@@ -83,8 +85,8 @@ fn main() {
     println!("{}", render_table(&header, &rows));
 
     println!("Shape: with no aborts TStream is far ahead; as the fraction of aborting");
-    println!("multi-write transactions grows, TStream pays for rolling back and serially");
-    println!("replaying the affected batches (Section IV-F), so its advantage narrows while");
-    println!("the lock-based schemes only undo the offending transaction.  Correctness is");
+    println!("multi-write transactions grows, TStream pays an extra barrier round and a");
+    println!("serial replay of each abort's closure (Section IV-F), so its advantage narrows");
+    println!("while the lock-based schemes only undo the offending transaction.  Correctness is");
     println!("identical in all cases: rejected counts match the injected poison exactly.");
 }

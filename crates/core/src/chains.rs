@@ -50,7 +50,7 @@ use crate::config::ChainPlacement;
 /// the batch and reused across batches so it allocates nothing in steady
 /// state (the [`ChainPool`] pattern).  Serves the two per-batch scratch
 /// tables of the engine: conflict classification at admission and the
-/// serial replay's restore pass.
+/// dirty states of a closure replay.
 #[derive(Debug, Default)]
 pub(crate) struct StateIndex {
     /// `(state hash, payload)`; hash `0` marks an empty slot.
@@ -78,6 +78,12 @@ impl StateIndex {
         }
     }
 
+    /// The payload stored for `state`, if any; `is_state` as in
+    /// [`Self::find_or_insert`].
+    pub(crate) fn find(&self, state: StateRef, is_state: impl FnMut(u32) -> bool) -> Option<u32> {
+        self.probe(state_hash(state), is_state).ok()
+    }
+
     /// The payload stored for `state`, or `None` after storing `payload`
     /// for it.  Only hashes are kept, so `is_state` tells whether a payload
     /// with an equal hash really belongs to `state`; a caller that accepts
@@ -87,19 +93,31 @@ impl StateIndex {
         &mut self,
         state: StateRef,
         payload: u32,
-        mut is_state: impl FnMut(u32) -> bool,
+        is_state: impl FnMut(u32) -> bool,
     ) -> Option<u32> {
         let h = state_hash(state);
+        match self.probe(h, is_state) {
+            Ok(found) => Some(found),
+            Err(empty) => {
+                self.slots[empty] = (h, payload);
+                None
+            }
+        }
+    }
+
+    /// Linear probe for hash `h`: the payload `is_state` accepts, or the
+    /// empty slot that ends the probe sequence.
+    #[inline]
+    fn probe(&self, h: u64, mut is_state: impl FnMut(u32) -> bool) -> Result<u32, usize> {
         let mask = self.slots.len() - 1;
         let mut i = (h as usize) & mask;
         loop {
             let (slot_hash, found) = self.slots[i];
             if slot_hash == 0 {
-                self.slots[i] = (h, payload);
-                return None;
+                return Err(i);
             }
             if slot_hash == h && is_state(found) {
-                return Some(found);
+                return Ok(found);
             }
             i = (i + 1) & mask;
         }

@@ -755,7 +755,7 @@ impl<A: Application> RunContext<A> {
         // ---- Multi-write abort handling (Section IV-F): if any
         // multi-operation transaction aborted, its writes in other chains may
         // already have been applied.  All executors synchronise once more and
-        // the leader rolls the batch back and replays it serially.
+        // the leader rolls back and replays the abort's closure.
         //
         // The flag is stable between the processing barrier above and the
         // leader's `clear_batch` in the closing round, so every executor
@@ -770,12 +770,17 @@ impl<A: Application> RunContext<A> {
                     &env,
                     &mut state.breakdown,
                 );
-                self.obs.hub().aborts_replayed(replay.aborted as u64);
+                self.obs
+                    .hub()
+                    .aborts_replayed(replay.transactions as u64, replay.aborted as u64);
+                let count = |n: usize| n.min(u32::MAX as usize) as u32;
                 self.obs.trace_exec(
                     index,
                     seq,
                     TraceKind::AbortReplay {
-                        aborted: replay.aborted.min(u32::MAX as usize) as u32,
+                        transactions: count(replay.transactions),
+                        writes: count(replay.reapplied_writes),
+                        aborted: count(replay.aborted),
                     },
                 );
             }

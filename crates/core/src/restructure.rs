@@ -20,13 +20,16 @@
 //!   "Handling Transaction Abort";
 //! * if the aborting transaction had *multiple* operations, its already
 //!   applied writes may live in other chains (possibly already processed by
-//!   other executors).  This is the expensive case the paper calls out in
-//!   Section IV-F: the batch is then **replayed serially** from its pre-batch
-//!   state — every applied write is undone from the [`BatchAbortLog`] and the
-//!   leader re-executes the whole batch in timestamp order, which restores
-//!   exact serial-equivalent semantics at the cost the paper acknowledges.
+//!   other executors), and later operations may have read them.  This is
+//!   the expensive case the paper calls out in Section IV-F: "the abortion
+//!   of a multi-write transaction may roll back multiple operation chains".
+//!   The leader then replays the abort's *closure* — the transactions that
+//!   read a state it may have changed, transitively, and the blind writes
+//!   that land on such a state — after restoring each state it reached from
+//!   the [`BatchAbortLog`]; every other outcome of the batch stands.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use parking_lot::Mutex;
@@ -35,27 +38,44 @@ use tstream_state::StateStore;
 use tstream_stream::metrics::{Breakdown, Component};
 use tstream_stream::operator::StateRef;
 use tstream_txn::exec::{
-    execute_operation, execute_transaction_body, resolve_record, AccessPlan, UndoEntry, ValueMode,
+    execute_operation, execute_transaction_planned, resolve_record, AccessPlan, UndoEntry,
+    ValueMode,
 };
-use tstream_txn::{ExecEnv, Operation};
+use tstream_txn::{AccessType, ExecEnv, OpFunc, Operation, Timestamp};
 
 use crate::chains::{ChainPoolSet, FrozenPool, OperationChain, ProcessingAssignment, StateIndex};
 use crate::config::DependencyResolution;
 
+/// [`BatchAbortLog`]'s first abort when no multi-operation transaction
+/// aborted.
+const NO_ABORT: Timestamp = Timestamp::MAX;
+
 /// Per-batch abort bookkeeping shared by all executors.
 ///
 /// Executors append the undo entries of the writes they applied once they
-/// finish their share of the batch; if any multi-operation transaction
-/// aborted, the batch is replayed serially from the restored pre-batch state
-/// (see [`replay_batch_serially`]).
-#[derive(Debug, Default)]
+/// finish their share of the batch, and note the timestamp of every
+/// multi-operation transaction that aborted; if one did, the abort's closure
+/// is replayed (see [`replay_batch_serially`]).
+#[derive(Debug)]
 pub struct BatchAbortLog {
     undo: Mutex<Vec<UndoEntry>>,
-    replay_needed: AtomicBool,
-    /// Scratch table of the serial replay's restore pass, recycled across
-    /// batches (replays are leader-only at a quiescent point, so the lock is
-    /// never contended).
-    replay_arena: Mutex<ReplayArena>,
+    /// Timestamp of the earliest multi-operation transaction that aborted
+    /// during chain evaluation — where the replay's closure starts — or
+    /// [`NO_ABORT`].
+    first_abort: AtomicU64,
+    /// Scratch table of the replay, recycled across batches (replays are
+    /// leader-only at a quiescent point, so the lock is never contended).
+    dirty: Mutex<DirtyStates>,
+}
+
+impl Default for BatchAbortLog {
+    fn default() -> Self {
+        BatchAbortLog {
+            undo: Mutex::default(),
+            first_abort: AtomicU64::new(NO_ABORT),
+            dirty: Mutex::default(),
+        }
+    }
 }
 
 impl BatchAbortLog {
@@ -72,15 +92,15 @@ impl BatchAbortLog {
         self.undo.lock().append(&mut entries);
     }
 
-    /// Flag that a multi-operation transaction aborted during the batch, so
-    /// the batch must be replayed serially.
-    pub fn request_replay(&self) {
-        self.replay_needed.store(true, Ordering::Release);
+    /// Note that the multi-operation transaction at `ts` aborted during the
+    /// batch, so its closure must be replayed.
+    pub fn request_replay(&self, ts: Timestamp) {
+        self.first_abort.fetch_min(ts, Ordering::AcqRel);
     }
 
-    /// Whether a serial replay of the current batch is required.
+    /// Whether a replay of the current batch is required.
     pub fn replay_needed(&self) -> bool {
-        self.replay_needed.load(Ordering::Acquire)
+        self.first_abort.load(Ordering::Acquire) != NO_ABORT
     }
 
     /// Number of undo entries accumulated for the current batch.
@@ -88,49 +108,80 @@ impl BatchAbortLog {
         self.undo.lock().len()
     }
 
-    /// Take all undo entries, leaving the log empty.
-    pub fn take_undo(&self) -> Vec<UndoEntry> {
-        std::mem::take(&mut self.undo.lock())
-    }
-
     /// Reset for the next batch.
     pub fn clear_batch(&self) {
         self.undo.lock().clear();
-        self.replay_needed.store(false, Ordering::Release);
+        self.first_abort.store(NO_ABORT, Ordering::Release);
     }
 }
 
-/// Scratch table of the serial replay's restore pass: maps each written state
-/// to the *oldest* undo entry the batch produced for it, i.e. the committed
-/// value the state had before the batch touched it.  Hash collisions in the
-/// index are disambiguated against the actual state in the dense entry list,
-/// so restores are always exact.  In steady state a replay allocates nothing
-/// here.
+/// The states a replay's closure reached, each with `d(s)` — the timestamp
+/// from which its first-pass value may differ from the serial schedule — and
+/// the undo entry that restores it.  Hash collisions in the index are
+/// disambiguated against the actual state in the dense list.  In steady
+/// state a replay allocates nothing here.
 #[derive(Debug, Default)]
-struct ReplayArena {
-    /// State → position in `entries`.
+struct DirtyStates {
+    /// State → position in `states`.
     index: StateIndex,
-    entries: Vec<UndoEntry>,
+    states: Vec<DirtyState>,
 }
 
-impl ReplayArena {
-    /// Fold one undo entry in, keeping the oldest (smallest-timestamp) entry
-    /// per state.
-    fn note(&mut self, entry: UndoEntry) {
-        let entries = &self.entries;
-        let found = self
-            .index
-            .find_or_insert(entry.target, entries.len() as u32, |at| {
-                entries[at as usize].target == entry.target
+#[derive(Debug)]
+struct DirtyState {
+    state: StateRef,
+    /// `d(s)`: dirty from this timestamp on.
+    from: Timestamp,
+    /// Timestamp and log position of the first-pass write with the smallest
+    /// timestamp `>= from`: its `previous` is the state's value at `from`.
+    restore: Option<(Timestamp, usize)>,
+}
+
+impl DirtyStates {
+    /// Forget the previous replay and size the index for `marks` states.
+    fn reset(&mut self, marks: usize) {
+        self.index.reset(marks);
+        self.states.clear();
+    }
+
+    fn find(&self, state: StateRef) -> Option<usize> {
+        let states = &self.states;
+        self.index
+            .find(state, |at| states[at as usize].state == state)
+            .map(|at| at as usize)
+    }
+
+    fn is_dirty(&self, state: StateRef) -> bool {
+        self.find(state).is_some()
+    }
+
+    /// Mark `state` dirty from `ts` on.  The closure runs forward in
+    /// timestamp order, so an existing mark is already the smaller one.
+    fn mark(&mut self, state: StateRef, ts: Timestamp) {
+        let states = &self.states;
+        let found = self.index.find_or_insert(state, states.len() as u32, |at| {
+            states[at as usize].state == state
+        });
+        if found.is_none() {
+            self.states.push(DirtyState {
+                state,
+                from: ts,
+                restore: None,
             });
-        match found {
-            None => self.entries.push(entry),
-            Some(at) => {
-                let oldest = &mut self.entries[at as usize];
-                if entry.ts < oldest.ts {
-                    *oldest = entry;
-                }
-            }
+        }
+    }
+
+    /// Fold in the undo entry at position `at` of the first-pass log.  Of
+    /// two entries with one timestamp (a transaction writing a state twice)
+    /// the first logged is kept: a chain is evaluated by one executor, so its
+    /// entries reach the log in chain order.
+    fn note(&mut self, at: usize, entry: &UndoEntry) {
+        let Some(dirty) = self.find(entry.target) else {
+            return;
+        };
+        let dirty = &mut self.states[dirty];
+        if entry.ts >= dirty.from && dirty.restore.is_none_or(|(ts, _)| entry.ts < ts) {
+            dirty.restore = Some((entry.ts, at));
         }
     }
 }
@@ -466,11 +517,11 @@ fn execute_chain_op(
         // rejected; sibling operations of the same transaction will be
         // skipped when their chains reach them.  If the transaction has
         // other operations, some of its writes may already have been
-        // applied in other chains — the batch must then be replayed
-        // serially to restore serial-equivalent semantics (Section IV-F).
+        // applied in other chains — the abort's closure must then be
+        // replayed to restore serial-equivalent semantics (Section IV-F).
         op.blotter.mark_aborted(e.to_string());
         if op.blotter.slots() > 1 {
-            ctx.abort_log.request_replay();
+            ctx.abort_log.request_replay(op.ts);
         }
         stats.skipped += 1;
     } else {
@@ -494,39 +545,62 @@ pub fn collapse_versioned(store: &StateStore, versioned: &[VersionedState]) {
     }
 }
 
-/// Statistics of one serial batch replay.
+/// Statistics of one closure replay.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ReplayStats {
-    /// States restored to their pre-batch values.
+    /// Dirty states restored to their value where the closure reached them.
     pub restored_states: usize,
-    /// Transactions re-executed.
+    /// Transactions re-executed: those the closure found dirty.
     pub transactions: usize,
-    /// Transactions that aborted during the replay (the authoritative abort
-    /// decisions of the batch).
+    /// Blind writes of clean transactions re-applied over a restored state.
+    pub reapplied_writes: usize,
+    /// Re-executed transactions that aborted (the authoritative decisions
+    /// for those; every other decision of the first pass stands).
     pub aborted: usize,
 }
 
-/// Serially replay the current batch after a multi-write abort.
+/// One step of a replay's re-execution, over the gathered operations.
+enum Step {
+    /// Re-execute a dirty transaction.
+    Transaction(Range<usize>),
+    /// Re-apply a clean blind write on a dirty state.
+    BlindWrite(usize),
+}
+
+/// A `WRITE` of a constant: it reads neither its target nor a dependency,
+/// so its effect is the same whatever the batch did before it.
+fn is_blind_write(op: &Operation) -> bool {
+    op.access == AccessType::Write
+        && op.dependency.is_none()
+        && matches!(op.func, Some(OpFunc::Const(_)))
+}
+
+/// Replay the closure of the current batch's multi-write aborts.
 ///
 /// Dynamic restructuring applies the operations of one transaction in
 /// different chains, possibly on different executors; when such a transaction
 /// aborts, writes it already applied elsewhere — and every later operation
 /// that read them — do not match the serial schedule any more.  The paper
 /// accepts that "the abortion of a multi-write transaction may roll back
-/// multiple operation chains" and flags it as TStream's expensive case
-/// (Section IV-F).  This routine restores exact serial semantics:
+/// multiple operation chains" (Section IV-F).  A write at timestamp `t` can
+/// only affect operations after `t`, so one forward pass from the earliest
+/// such abort `t0` finds everything to redo:
 ///
-/// 1. every write applied during the first pass is undone (oldest first per
-///    state, using the [`BatchAbortLog`]'s undo entries), restoring the
-///    pre-batch committed values;
-/// 2. the result slots and abort flags of every transaction in the batch are
-///    cleared;
-/// 3. the whole batch is re-executed by one thread in timestamp order with
-///    per-transaction rollback, which is the definition of the correct state
-///    transaction schedule.
+/// 1. the batch's operations from `t0` on are walked in `(ts, op_index)`
+///    order, one transaction at a time.  A transaction is *dirty* when it is
+///    a multi-operation transaction that aborted, or when it reads — as
+///    target or dependency — a state already marked dirty; a dirty
+///    transaction marks every state it touches dirty from its timestamp.  A
+///    blind write ([`OpFunc::Const`] `WRITE`) of a clean, committed
+///    transaction onto a dirty state is kept for re-application;
+/// 2. each dirty state is restored to its value at the timestamp it became
+///    dirty: the `previous` of its first undo entry from there on (none: it
+///    was never written after, and is already right);
+/// 3. the dirty transactions are re-executed with per-transaction rollback,
+///    and the kept blind writes re-applied, in timestamp order.
 ///
-/// Must be called from a single thread at a quiescent point (after the
-/// end-of-processing barrier, before post-processing starts).
+/// Must be called from a single thread at a quiescent point: after
+/// [`collapse_versioned`] and before post-processing starts.
 pub fn replay_batch_serially(
     store: &StateStore,
     pools: &ChainPoolSet,
@@ -535,51 +609,105 @@ pub fn replay_batch_serially(
     breakdown: &mut Breakdown,
 ) -> ReplayStats {
     let mut stats = ReplayStats::default();
+    let first_abort = abort_log.first_abort.load(Ordering::Acquire);
 
-    // ---- 1. Restore the pre-batch committed values: for every written state
-    // the undo entry with the smallest timestamp holds the value it had
-    // before the batch touched it.  The fold runs over an arena recycled
-    // across batches, and the restore itself goes through the resolved
-    // record slots — no ordered map, no per-state index lookup.
-    let mut arena = abort_log.replay_arena.lock();
-    let undo = abort_log.take_undo();
-    arena.index.reset(undo.len());
-    for entry in undo {
-        arena.note(entry);
+    // Gather the operations from the first abort on out of the frozen logs,
+    // as references beside their sort keys.  One unstable sort by
+    // (ts, op_index) recovers both the serial transaction order and the
+    // issue order within each transaction.
+    let frozen = pools.freeze();
+    let mut keyed: Vec<(Timestamp, u32, &Operation)> = frozen
+        .iter()
+        .flat_map(|pool| pool.operations())
+        .filter(|op| op.ts >= first_abort)
+        .map(|op| (op.ts, op.op_index, op))
+        .collect();
+    keyed.sort_unstable_by_key(|&(ts, op_index, _)| (ts, op_index));
+    let ops: Vec<&Operation> = keyed.into_iter().map(|(_, _, op)| op).collect();
+
+    // ---- 1. The closure.
+    let mut guard = abort_log.dirty.lock();
+    let dirty = &mut *guard;
+    // Each operation marks at most its target and its dependency.
+    dirty.reset(2 * ops.len());
+    let mut steps = Vec::new();
+    let mut start = 0;
+    for txn in ops.chunk_by(|a, b| a.ts == b.ts) {
+        let range = start..start + txn.len();
+        start = range.end;
+        let blotter = &txn[0].blotter;
+        let aborted = blotter.is_aborted();
+        let reads_dirty = |op: &&Operation| {
+            (!is_blind_write(op) && dirty.is_dirty(op.target))
+                || op.dependency.is_some_and(|dep| dirty.is_dirty(dep))
+        };
+        if (aborted && blotter.slots() > 1) || txn.iter().any(reads_dirty) {
+            // A dependency the transaction only reads is marked too: its
+            // re-execution must see the value at its own timestamp, so a
+            // later blind write there has to be undone and re-applied.
+            for op in txn {
+                dirty.mark(op.target, op.ts);
+                if let Some(dep) = op.dependency {
+                    dirty.mark(dep, op.ts);
+                }
+            }
+            steps.push(Step::Transaction(range));
+        } else if !aborted {
+            steps.extend(
+                range
+                    .filter(|&i| is_blind_write(ops[i]) && dirty.is_dirty(ops[i].target))
+                    .map(Step::BlindWrite),
+            );
+        }
     }
-    for entry in arena.entries.drain(..) {
+
+    // ---- 2. Restore, through the resolved record slots of the undo log.
+    // The log itself stays for `clear_batch`, as it does for any batch.
+    let log = abort_log.undo.lock();
+    for (at, entry) in log.iter().enumerate() {
+        dirty.note(at, entry);
+    }
+    for (_, at) in dirty.states.drain(..).filter_map(|state| state.restore) {
+        let entry = &log[at];
         if let Ok(record) = resolve_record(store, entry.target, entry.slot, None) {
-            record.discard_versions();
-            record.write_committed(entry.previous);
+            record.write_committed(entry.previous.clone());
             stats.restored_states += 1;
         }
     }
-    drop(arena);
+    drop(log);
+    drop(guard);
 
-    // ---- 2. Gather the batch's operations back out of the frozen logs, as
-    // *references*: not a single `Operation` (or its blotter handle) is
-    // cloned.  One unstable sort by (ts, op_index) recovers both the serial
-    // transaction order and the issue order within each transaction.
-    let frozen = pools.freeze();
-    let mut ops: Vec<&Operation> = frozen.iter().flat_map(|pool| pool.operations()).collect();
-    ops.sort_unstable_by_key(|op| (op.ts, op.op_index));
-
-    // ---- 3. Re-execute serially in timestamp order through the shared
-    // eager body: per-transaction rollback, the usual breakdown charging.
-    for txn_ops in ops.chunk_by(|a, b| a.ts == b.ts) {
-        txn_ops[0].blotter.reset();
-        stats.transactions += 1;
-        let body = execute_transaction_body(
-            txn_ops.iter().copied(),
-            store,
-            env,
-            ValueMode::Committed,
-            breakdown,
-        );
-        if body.is_err() {
-            stats.aborted += 1;
+    // ---- 3. Re-execute in timestamp order through the shared kernel.
+    // Operations are timed one by one only where chain evaluation times
+    // them too; otherwise the whole re-execution is charged at once.
+    let classify = env.numa.enabled && env.layout.sockets() > 1;
+    let plan = AccessPlan {
+        classify,
+        ..AccessPlan::eager(ValueMode::Committed)
+    };
+    let t_all = Stopwatch::start_if(!classify);
+    let mut undo = Vec::new();
+    for step in steps {
+        match step {
+            Step::Transaction(range) => {
+                let txn = &ops[range];
+                txn[0].blotter.reset();
+                stats.transactions += 1;
+                let body =
+                    execute_transaction_planned(txn.iter().copied(), store, env, plan, breakdown);
+                if body.is_err() {
+                    stats.aborted += 1;
+                }
+            }
+            Step::BlindWrite(i) => {
+                // It applied in the first pass, so it applies again.
+                let _ = execute_operation(ops[i], store, env, plan, breakdown, &mut undo);
+                undo.clear();
+                stats.reapplied_writes += 1;
+            }
         }
     }
+    breakdown.charge(Component::Useful, t_all.elapsed());
     stats
 }
 
@@ -592,6 +720,7 @@ mod tests {
     use tstream_state::{StateError, StateStore, TableBuilder, TableId, Value};
     use tstream_stream::executor::ExecutorLayout;
     use tstream_stream::operator::StateRef;
+    use tstream_txn::exec::execute_transaction_body;
     use tstream_txn::TxnBuilder;
 
     fn store(keys: u64) -> Arc<StateStore> {
@@ -856,9 +985,17 @@ mod tests {
 
         let env = ExecEnv::single();
         let replay = replay_batch_serially(&store, &pools, &abort_log, &env, &mut breakdown);
-        assert_eq!(replay.transactions, 3);
-        assert_eq!(replay.aborted, 1);
-        assert!(replay.restored_states >= 1);
+        // ts 0 precedes the abort and stands; ts 2 reads both keys ts 1
+        // marked dirty, so it is re-executed too.
+        assert_eq!(
+            replay,
+            ReplayStats {
+                restored_states: 2,
+                transactions: 2,
+                reapplied_writes: 0,
+                aborted: 1,
+            }
+        );
 
         // Serial semantics: key0 = 5 + 3 = 8 (ts 1 contributes nothing),
         // key1 = 5 + 3 = 8.
@@ -873,11 +1010,109 @@ mod tests {
         assert!(blotters[1].is_aborted());
         assert!(!blotters[0].is_aborted());
         assert!(!blotters[2].is_aborted());
-        // The log is drained by the replay and can be reused for the next
-        // batch after a clear.
-        assert_eq!(abort_log.undo_len(), 0);
+        // The log is reused for the next batch after a clear.
         abort_log.clear_batch();
+        assert_eq!(abort_log.undo_len(), 0);
         assert!(!abort_log.replay_needed());
+    }
+
+    #[test]
+    fn a_write_only_abort_replays_one_transaction_and_its_blind_overwrites() {
+        // GS write-only: 500 ten-write transactions of constants over 1000
+        // keys, one of them poisoned.  Nothing reads, so the closure is the
+        // poisoned transaction plus the later writes onto its keys.
+        const KEYS: u64 = 1000;
+        const POISONED: u64 = 123;
+        let build = || {
+            let mut seed = 0x2545_f491_4f6c_dd1du64;
+            (0..500u64)
+                .map(|ts| {
+                    let mut b = TxnBuilder::new(ts);
+                    let mut keys = Vec::new();
+                    while keys.len() < 10 {
+                        seed ^= seed << 13;
+                        seed ^= seed >> 7;
+                        seed ^= seed << 17;
+                        let key = seed % KEYS;
+                        if !keys.contains(&key) {
+                            keys.push(key);
+                        }
+                    }
+                    for (i, &key) in keys.iter().enumerate() {
+                        if ts == POISONED && i == 4 {
+                            b.write_with(0, key, None, |_| {
+                                Err(StateError::ConsistencyViolation("negative".into()))
+                            });
+                        } else {
+                            b.write_value(0, key, Value::Long((ts * 10 + i as u64) as i64));
+                        }
+                    }
+                    b.build()
+                })
+                .collect::<Vec<_>>()
+        };
+
+        let serial_store = store(KEYS);
+        let mut breakdown = Breakdown::new();
+        let (txns, serial_blotters): (Vec<_>, Vec<_>) = build().into_iter().unzip();
+        for txn in &txns {
+            let _ = execute_transaction_body(
+                &txn.ops,
+                &serial_store,
+                &ExecEnv::single(),
+                ValueMode::Committed,
+                &mut breakdown,
+            );
+        }
+        let poisoned_keys: Vec<StateRef> = txns[POISONED as usize]
+            .ops
+            .iter()
+            .map(|op| op.target)
+            .collect();
+        let overwrites = txns[POISONED as usize + 1..]
+            .iter()
+            .flat_map(|txn| &txn.ops)
+            .filter(|op| poisoned_keys.contains(&op.target))
+            .count();
+        assert!(overwrites > 0, "the batch overwrites a poisoned key");
+
+        let store = store(KEYS);
+        let pools = ChainPoolSet::new(ChainPlacement::SharedNothing, ExecutorLayout::new(1, 10), 1);
+        let (txns, blotters): (Vec<_>, Vec<_>) = build().into_iter().unzip();
+        for txn in txns {
+            decompose(&pools, txn);
+        }
+        let abort_log = BatchAbortLog::new();
+        let context = ctx(
+            &pools,
+            &store,
+            &abort_log,
+            DependencyResolution::FineGrained,
+        );
+        let (_, versioned) = process_assigned(
+            &context,
+            pools.assignment(tstream_stream::ExecutorId(0)),
+            &mut breakdown,
+        );
+        collapse_versioned(&store, &versioned);
+        assert!(abort_log.replay_needed());
+        let replay = replay_batch_serially(
+            &store,
+            &pools,
+            &abort_log,
+            &ExecEnv::single(),
+            &mut breakdown,
+        );
+
+        assert_eq!(replay.transactions, 1);
+        assert_eq!(replay.aborted, 1);
+        assert!(replay.restored_states <= 10, "{replay:?}");
+        assert_eq!(replay.reapplied_writes, overwrites);
+        assert_eq!(store.snapshot(), serial_store.snapshot());
+        let aborted = |blotters: &[tstream_txn::BlotterHandle]| {
+            blotters.iter().map(|b| b.is_aborted()).collect::<Vec<_>>()
+        };
+        assert_eq!(aborted(&blotters), aborted(&serial_blotters));
     }
 
     #[test]

@@ -51,9 +51,13 @@ pub enum TraceKind {
         /// Nanoseconds spent waiting at the barrier.
         wait_ns: u64,
     },
-    /// The leader serially replayed aborted transactions.
+    /// The leader replayed the closure of a multi-write abort.
     AbortReplay {
-        /// Aborted transactions resolved.
+        /// Transactions re-executed.
+        transactions: u32,
+        /// Blind writes re-applied.
+        writes: u32,
+        /// Re-executed transactions that aborted.
         aborted: u32,
     },
     /// The batch published its results to the sink.
@@ -103,7 +107,11 @@ impl TraceKind {
             TraceKind::FastPath => "fast path".to_string(),
             TraceKind::Restructured { chains } => format!("restructured into {chains} chains"),
             TraceKind::BarrierRound { wait_ns } => format!("barrier round ({wait_ns} ns)"),
-            TraceKind::AbortReplay { aborted } => format!("replayed {aborted} aborts"),
+            TraceKind::AbortReplay {
+                transactions,
+                writes,
+                aborted,
+            } => format!("replayed {transactions} txns + {writes} writes, {aborted} aborts"),
             TraceKind::Published {
                 committed,
                 rejected,

@@ -103,6 +103,7 @@ pub struct MetricsHub {
     exec_chains_built: Counter,
     exec_chains_recycled: Counter,
     exec_aborts_replayed: Counter,
+    exec_replayed_transactions: Counter,
     exec_serial_replays: Counter,
     exec_committed: Counter,
     exec_rejected: Counter,
@@ -146,6 +147,7 @@ pub struct MetricsSnapshot {
     pub exec_chains_built: u64,
     pub exec_chains_recycled: u64,
     pub exec_aborts_replayed: u64,
+    pub exec_replayed_transactions: u64,
     pub exec_serial_replays: u64,
     pub exec_committed: u64,
     pub exec_rejected: u64,
@@ -248,13 +250,16 @@ impl MetricsHub {
         }
     }
 
-    /// A serial replay round resolved `aborted` aborted transactions.
+    /// A closure replay re-executed `transactions` transactions, of which
+    /// `aborted` aborted (first-pass aborts the replay leaves standing are
+    /// not counted).
     #[inline]
-    pub fn aborts_replayed(&self, aborted: u64) {
+    pub fn aborts_replayed(&self, transactions: u64, aborted: u64) {
         if !self.enabled {
             return;
         }
         self.exec_serial_replays.incr();
+        self.exec_replayed_transactions.add(transactions);
         self.exec_aborts_replayed.add(aborted);
     }
 
@@ -402,6 +407,7 @@ impl MetricsHub {
             exec_chains_built: self.exec_chains_built.get(),
             exec_chains_recycled: self.exec_chains_recycled.get(),
             exec_aborts_replayed: self.exec_aborts_replayed.get(),
+            exec_replayed_transactions: self.exec_replayed_transactions.get(),
             exec_serial_replays: self.exec_serial_replays.get(),
             exec_committed: self.exec_committed.get(),
             exec_rejected: self.exec_rejected.get(),
@@ -489,8 +495,13 @@ impl MetricsSnapshot {
         );
         counter(
             "tstream_exec_aborts_replayed_total",
-            "Aborted transactions resolved by serial replay",
+            "Re-executed transactions that aborted in a closure replay",
             self.exec_aborts_replayed,
+        );
+        counter(
+            "tstream_exec_replayed_transactions_total",
+            "Transactions re-executed by a closure replay",
+            self.exec_replayed_transactions,
         );
         counter(
             "tstream_exec_serial_replays_total",
@@ -624,7 +635,8 @@ impl MetricsSnapshot {
                 "\"ingest_backpressure_wait_ns\":{},\"exec_batches\":{},",
                 "\"exec_fast_path_batches\":{},\"exec_restructured_batches\":{},",
                 "\"exec_chains_built\":{},\"exec_chains_recycled\":{},",
-                "\"exec_aborts_replayed\":{},\"exec_serial_replays\":{},",
+                "\"exec_aborts_replayed\":{},\"exec_replayed_transactions\":{},",
+                "\"exec_serial_replays\":{},",
                 "\"exec_committed\":{},\"exec_rejected\":{},",
                 "\"exec_barrier_waits\":{},\"exec_barrier_wait_ns\":{{",
                 "\"count\":{},\"sum\":{},\"max\":{},\"p50\":{},\"p99\":{},\"p999\":{}}},",
@@ -648,6 +660,7 @@ impl MetricsSnapshot {
             self.exec_chains_built,
             self.exec_chains_recycled,
             self.exec_aborts_replayed,
+            self.exec_replayed_transactions,
             self.exec_serial_replays,
             self.exec_committed,
             self.exec_rejected,
@@ -692,7 +705,7 @@ mod tests {
         hub.fast_path_batch();
         hub.restructured_batch(7);
         hub.chains_recycled(7);
-        hub.aborts_replayed(3);
+        hub.aborts_replayed(5, 3);
         hub.batch_published(120, 8);
         hub.barrier_wait(Duration::from_micros(5));
         hub.wal_activity(1024, 2, 1, 500, 1, 0);
@@ -711,6 +724,7 @@ mod tests {
         assert_eq!(s.exec_fast_path_batches, 1);
         assert_eq!(s.exec_chains_built, 7);
         assert_eq!(s.exec_aborts_replayed, 3);
+        assert_eq!(s.exec_replayed_transactions, 5);
         assert_eq!(s.exec_committed, 120);
         assert_eq!(s.exec_barrier_waits, 1);
         assert_eq!(s.exec_barrier_wait.count, 1);

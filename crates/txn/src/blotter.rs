@@ -26,9 +26,9 @@ pub struct EventBlotter {
     /// operation's index within the transaction.  Slots are independent
     /// one-shot cells (an operation only ever writes its own slot), but they
     /// can be cleared wholesale by [`EventBlotter::reset`] when the engine
-    /// replays a batch after a multi-write abort.  Sized once: by `new`, or —
-    /// for the blotter a `TxnBuilder` hands to operations while it is still
-    /// counting them — when the transaction is built.
+    /// re-executes a transaction after a multi-write abort.  Sized once: by
+    /// `new`, or — for the blotter a `TxnBuilder` hands to operations while it
+    /// is still counting them — when the transaction is built.
     results: OnceLock<Box<[Mutex<Option<Value>>]>>,
     aborted: AtomicBool,
     abort_reason: Mutex<Option<String>>,
@@ -97,10 +97,10 @@ impl EventBlotter {
 
     /// Clear every result slot and the abort flag.
     ///
-    /// Used by the engine before *replaying* a batch whose first pass aborted
-    /// a multi-write transaction (Section IV-F): the replay re-evaluates
-    /// every transaction of the batch against restored state, so results and
-    /// abort decisions recorded by the first pass must be discarded.
+    /// Used by the engine before *re-executing* a transaction that a
+    /// multi-write abort reached (Section IV-F): the replay re-evaluates it
+    /// against restored state, so the results and abort decision recorded by
+    /// the first pass must be discarded.
     pub fn reset(&self) {
         for slot in self.results() {
             *slot.lock() = None;

@@ -57,8 +57,8 @@ impl AccessPlan {
     }
 }
 
-/// Undo information for one applied write, so an aborting transaction — or a
-/// whole batch, after a multi-write abort — can be rolled back.
+/// Undo information for one applied write, so an aborting transaction — or
+/// the states a multi-write abort reached — can be rolled back.
 #[derive(Debug)]
 pub struct UndoEntry {
     /// Which state was written.
@@ -68,7 +68,9 @@ pub struct UndoEntry {
     pub slot: u32,
     /// Timestamp of the writing operation.
     pub ts: Timestamp,
-    /// Committed value of the state immediately before the write.
+    /// Value of the state immediately before the write in timestamp order:
+    /// the committed value it overwrote, or — for a versioned write — the
+    /// value visible at `ts`.
     pub previous: Value,
     /// Whether the write installed a temporary version at `ts`
     /// ([`ValueMode::Versioned`]) instead of overwriting the committed value.
@@ -142,22 +144,25 @@ pub fn execute_operation(
         ValueMode::Committed => r.read_committed(),
         ValueMode::Versioned => r.read_visible(op.ts),
     });
-    let produced = match plan.target {
+    // A versioned target is read once, at its timestamp: the value is
+    // evaluated against and, if the operation writes, logged as the value it
+    // replaces, so a closure replay can restore the state to just before the
+    // write even after the versions collapsed.
+    let visible = match plan.target {
+        ValueMode::Committed => None,
+        ValueMode::Versioned => Some(record.read_visible(op.ts)),
+    };
+    let produced = match &visible {
         // Evaluate against the committed value in place — no clone of the
         // current value just to read it.
-        ValueMode::Committed => {
-            record.with_committed(|current| op.evaluate(current, dep_value.as_ref()))
-        }
-        ValueMode::Versioned => op.evaluate(&record.read_visible(op.ts), dep_value.as_ref()),
+        None => record.with_committed(|current| op.evaluate(current, dep_value.as_ref())),
+        Some(current) => op.evaluate(current, dep_value.as_ref()),
     };
     let outcome = produced.map(|produced| {
         if let Some(new_value) = produced {
-            let (previous, versioned) = match plan.target {
-                ValueMode::Committed => (record.write_committed(new_value), false),
-                // The committed value stays the pre-batch value until the
-                // versions collapse; a batch rollback after that needs it.
-                ValueMode::Versioned => {
-                    let previous = record.read_committed();
+            let (previous, versioned) = match visible {
+                None => (record.write_committed(new_value), false),
+                Some(previous) => {
                     record.install_version(op.ts, new_value);
                     (previous, true)
                 }
@@ -208,8 +213,20 @@ pub fn execute_transaction_body<'a>(
     mode: ValueMode,
     breakdown: &mut Breakdown,
 ) -> StateResult<()> {
+    execute_transaction_planned(ops, store, env, AccessPlan::eager(mode), breakdown)
+}
+
+/// [`execute_transaction_body`] under an explicit [`AccessPlan`], for a
+/// caller that times a whole run of transactions itself instead of each
+/// operation.
+pub fn execute_transaction_planned<'a>(
+    ops: impl IntoIterator<Item = &'a Operation>,
+    store: &StateStore,
+    env: &ExecEnv,
+    plan: AccessPlan,
+    breakdown: &mut Breakdown,
+) -> StateResult<()> {
     let ops = ops.into_iter();
-    let plan = AccessPlan::eager(mode);
     let mut undo = Vec::with_capacity(ops.size_hint().0);
     for op in ops {
         if let Err(e) = execute_operation(op, store, env, plan, breakdown, &mut undo) {
@@ -440,7 +457,13 @@ mod tests {
                                 (op.target, op.slot, TS, versioned),
                                 "{case}"
                             );
-                            assert_eq!(entry.previous, Value::Long(100), "{case}");
+                            // The value the write replaced at TS: the visible
+                            // version for a versioned write, not the committed
+                            // pre-batch value.
+                            assert_eq!(entry.previous, Value::Long(seen_target), "{case}");
+                            if versioned {
+                                assert_eq!(entry.previous, Value::Long(150), "{case}");
+                            }
                             undo_all(&store, &mut undo);
                             assert!(undo.is_empty(), "{case}");
                             untouched(record);
