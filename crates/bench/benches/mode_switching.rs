@@ -27,8 +27,8 @@ fn bench_barrier_round(c: &mut Criterion) {
                             let barrier = barrier.clone();
                             s.spawn(move || {
                                 for _ in 0..100 {
-                                    barrier.wait();
-                                    barrier.wait();
+                                    barrier.wait(|| {});
+                                    barrier.wait(|| {});
                                 }
                             });
                         }

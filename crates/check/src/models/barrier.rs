@@ -1,6 +1,7 @@
 //! Model of `tstream_stream::CyclicBarrier`: generation-counted reusable
-//! barrier with poison, plus two deliberately buggy variants the checker
-//! must catch.
+//! barrier whose last arriver runs the round's action before the release,
+//! with poison, plus three deliberately buggy variants the checker must
+//! catch.
 
 use crate::sync::{Condvar, Mutex};
 
@@ -21,6 +22,11 @@ pub enum BarrierVariant {
     /// to sleep forever — the exact lost-wakeup the production code's
     /// post-wake re-check (`barrier.rs`) exists to prevent.
     PoisonCheckOnEntryOnly,
+    /// The action-ordering bug: the last arriver bumps the generation and
+    /// notifies, *then* runs the action.  A released party can read the
+    /// phase the action publishes before it is written — the round no
+    /// longer carries its work.
+    ReleaseBeforeAction,
 }
 
 #[derive(Debug)]
@@ -60,23 +66,34 @@ impl ModelBarrier {
         }
     }
 
-    /// Wait for all parties; returns whether this caller was the leader
-    /// (the last arriver).  Mirrors the production `CyclicBarrier::wait`
-    /// minus the timing attribution.
+    /// Wait for all parties; the last arriver runs `action` before the
+    /// round releases.  Mirrors the production `CyclicBarrier::wait` minus
+    /// the timing attribution.
     ///
     /// # Panics
     ///
-    /// Panics when the barrier is poisoned (in the variants that check).
-    pub fn wait(&self) -> bool {
+    /// Panics when the barrier is poisoned (in the variants that check), and
+    /// when `action` panics — with the round unreleased, for the caller to
+    /// poison.
+    pub fn wait(&self, action: impl FnOnce()) {
         let mut state = self.state.lock();
         assert!(!state.poisoned, "cyclic barrier poisoned");
         state.waiting += 1;
         if state.waiting == self.parties {
             state.waiting = 0;
+            if self.variant == BarrierVariant::ReleaseBeforeAction {
+                state.generation = state.generation.wrapping_add(1);
+                drop(state);
+                self.cond.notify_all();
+                action();
+                return;
+            }
+            drop(state);
+            action();
+            let mut state = self.state.lock();
             state.generation = state.generation.wrapping_add(1);
             drop(state);
             self.cond.notify_all();
-            true
         } else if self.variant == BarrierVariant::NoGeneration {
             // Broken: "the round is over when nobody is waiting" confuses
             // this round's completion with the next round's arrivals.
@@ -86,7 +103,6 @@ impl ModelBarrier {
                     assert!(!state.poisoned, "cyclic barrier poisoned");
                 }
             }
-            false
         } else {
             let generation = state.generation;
             while state.generation == generation {
@@ -95,7 +111,6 @@ impl ModelBarrier {
                     assert!(!state.poisoned, "cyclic barrier poisoned");
                 }
             }
-            false
         }
     }
 
@@ -114,36 +129,38 @@ impl ModelBarrier {
     }
 }
 
-/// Scenario: `parties` threads cross the barrier `rounds` times, with a
-/// shared phase counter asserting lockstep — between round `n`'s two
-/// crossings every thread observes exactly the phase the round-`n` leader
-/// published, and exactly one leader emerges per generation.
+/// Scenario: `parties` threads cross the barrier `rounds` times, each round's
+/// action publishing the round's phase — every thread observes exactly that
+/// phase as soon as the round releases it, and exactly one action runs per
+/// generation.
 ///
-/// With [`BarrierVariant::NoGeneration`] the checker finds the
-/// re-entrancy deadlock; the correct variant passes exhaustively.
+/// With [`BarrierVariant::NoGeneration`] the checker finds the re-entrancy
+/// deadlock, with [`BarrierVariant::ReleaseBeforeAction`] a party that reads
+/// the phase before the action wrote it; the correct variant passes
+/// exhaustively.
 pub fn lockstep_scenario(parties: usize, rounds: usize, variant: BarrierVariant) {
     use crate::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     let barrier = Arc::new(ModelBarrier::new(parties, variant));
     let phase = Arc::new(AtomicUsize::new(0));
-    let leaders = Arc::new(AtomicUsize::new(0));
+    let actions = Arc::new(AtomicUsize::new(0));
     let handles: Vec<_> = (0..parties.saturating_sub(1))
         .map(|_| {
             let barrier = Arc::clone(&barrier);
             let phase = Arc::clone(&phase);
-            let leaders = Arc::clone(&leaders);
-            crate::thread::spawn(move || run_party(&barrier, &phase, &leaders, rounds))
+            let actions = Arc::clone(&actions);
+            crate::thread::spawn(move || run_party(&barrier, &phase, &actions, rounds))
         })
         .collect();
-    run_party(&barrier, &phase, &leaders, rounds);
+    run_party(&barrier, &phase, &actions, rounds);
     for h in handles {
         h.join();
     }
     assert_eq!(
-        leaders.load(Ordering::SeqCst),
+        actions.load(Ordering::SeqCst),
         rounds,
-        "exactly one leader per generation"
+        "exactly one action per generation"
     );
     assert_eq!(phase.load(Ordering::SeqCst), rounds, "all rounds completed");
 }
@@ -151,25 +168,21 @@ pub fn lockstep_scenario(parties: usize, rounds: usize, variant: BarrierVariant)
 fn run_party(
     barrier: &ModelBarrier,
     phase: &crate::sync::atomic::AtomicUsize,
-    leaders: &crate::sync::atomic::AtomicUsize,
+    actions: &crate::sync::atomic::AtomicUsize,
     rounds: usize,
 ) {
     use crate::sync::atomic::Ordering;
     for round in 0..rounds {
-        if barrier.wait() {
-            leaders.fetch_add(1, Ordering::SeqCst);
+        barrier.wait(|| {
+            actions.fetch_add(1, Ordering::SeqCst);
             phase.store(round + 1, Ordering::SeqCst);
-        }
-        let seen = phase.load(Ordering::SeqCst);
-        assert!(
-            seen == round || seen == round + 1,
-            "phase {seen} observed in round {round}: a waiter escaped its generation"
-        );
-        barrier.wait();
+        });
+        // Round `round + 1`'s action cannot run before this party arrives
+        // there, so anything but the round's own phase is a bug.
         assert_eq!(
             phase.load(Ordering::SeqCst),
             round + 1,
-            "between round {round}'s two crossings the leader's phase must be visible"
+            "round {round}'s action must be visible as soon as the round releases"
         );
     }
 }
@@ -182,11 +195,11 @@ pub fn wraparound_scenario(variant: BarrierVariant) {
     let barrier = Arc::new(ModelBarrier::with_generation(2, variant, u64::MAX));
     let b2 = Arc::clone(&barrier);
     let t = crate::thread::spawn(move || {
-        b2.wait();
-        b2.wait();
+        b2.wait(|| {});
+        b2.wait(|| {});
     });
-    barrier.wait();
-    barrier.wait();
+    barrier.wait(|| {});
+    barrier.wait(|| {});
     t.join();
 }
 
@@ -202,13 +215,40 @@ pub fn poison_scenario(variant: BarrierVariant) {
     let barrier = Arc::new(ModelBarrier::new(2, variant));
     let b2 = Arc::clone(&barrier);
     let waiter =
-        crate::thread::spawn(move || catch_unwind(AssertUnwindSafe(|| b2.wait())).is_err());
+        crate::thread::spawn(move || catch_unwind(AssertUnwindSafe(|| b2.wait(|| {}))).is_err());
     barrier.poison();
     assert!(
         waiter.join(),
         "a blocked waiter must observe the poison as a panic, not hang"
     );
     assert!(barrier.is_poisoned());
-    let late = catch_unwind(AssertUnwindSafe(|| barrier.wait()));
+    let late = catch_unwind(AssertUnwindSafe(|| barrier.wait(|| {})));
     assert!(late.is_err(), "late arrivals must panic too");
+}
+
+/// Scenario: the round's action panics.  Whichever party arrives last runs
+/// it, so both pass a panicking action, and each poisons the barrier when
+/// its `wait` panics — what the executor runtime does for a dying party.
+/// Every schedule must end with both parties panicking — the action's
+/// caller with its own panic, the blocked party woken by the poison — and
+/// none hanging.
+pub fn action_panic_scenario(variant: BarrierVariant) {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::Arc;
+
+    let barrier = Arc::new(ModelBarrier::new(2, variant));
+    let b2 = Arc::clone(&barrier);
+    let party = move |barrier: &ModelBarrier| {
+        let wait = catch_unwind(AssertUnwindSafe(|| {
+            barrier.wait(|| panic!("deliberate action panic"));
+        }));
+        if wait.is_err() {
+            barrier.poison();
+        }
+        wait.is_err()
+    };
+    let other = crate::thread::spawn(move || party(&b2));
+    assert!(party(&barrier), "this party must panic, not hang");
+    assert!(other.join(), "the other party must panic, not hang");
+    assert!(barrier.is_poisoned());
 }

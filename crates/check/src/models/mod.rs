@@ -10,7 +10,7 @@
 //!
 //! | module | production code | checked property |
 //! |---|---|---|
-//! | [`barrier`] | `tstream_stream::CyclicBarrier` | lockstep release, one leader per generation, wraparound, poison wakes everyone |
+//! | [`barrier`] | `tstream_stream::CyclicBarrier` | the round's action runs once per generation and is visible on release, wraparound, poison wakes everyone, including the parties of a round whose action panicked |
 //! | [`injector`] | `ExecutorPool` scheduler (`crates/core/src/runtime.rs`) | atomic batch injection: every batch reaches all executor queues before any later batch |
 //! | [`backpressure`] | per-session staging queues | bounded staging never overfills and never wedges |
 //! | [`wal`] | `SegmentedWal` seal/poison + `Checkpointer` gating | checkpoints never cover an unsealed epoch; appends refused after seal failure |

@@ -10,7 +10,7 @@
 
 use tstream_check::models::backpressure::{producer_consumer_scenario, QueueVariant};
 use tstream_check::models::barrier::{
-    lockstep_scenario, poison_scenario, wraparound_scenario, BarrierVariant,
+    action_panic_scenario, lockstep_scenario, poison_scenario, wraparound_scenario, BarrierVariant,
 };
 use tstream_check::models::groupcommit::{group_commit_scenario, GroupCommitVariant};
 use tstream_check::models::injector::{handoff_scenario, InjectorVariant};
@@ -45,6 +45,31 @@ fn barrier_poison_wakes_blocked_waiters_in_every_schedule() {
         .preemption_bound(2)
         .check(|| poison_scenario(BarrierVariant::Correct));
     assert!(report.complete);
+}
+
+#[test]
+fn barrier_panicking_action_poisons_and_wakes_the_waiter_in_every_schedule() {
+    let report = Model::new()
+        .preemption_bound(2)
+        .check(|| action_panic_scenario(BarrierVariant::Correct));
+    assert!(report.complete);
+}
+
+/// The round must carry its work: a barrier that releases the parties
+/// before its action has run lets one read the phase the action has not
+/// published yet.
+#[test]
+fn barrier_releasing_before_the_action_is_caught() {
+    let violation = Model::new()
+        .preemption_bound(2)
+        .try_check(|| lockstep_scenario(2, 2, BarrierVariant::ReleaseBeforeAction))
+        .expect_err("a release before the action must expose an unpublished phase");
+    assert!(
+        violation
+            .message
+            .contains("visible as soon as the round releases"),
+        "unexpected violation: {violation}"
+    );
 }
 
 #[test]

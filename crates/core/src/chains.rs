@@ -18,8 +18,8 @@
 //! dependency (binary search over the runs), the last write before a
 //! timestamp (binary search inside a run), the serial replay and the
 //! per-shard accounting.  The first read after filing performs the freeze
-//! (the engine's leader does it at TXN_START); filing into a frozen pool is a
-//! bug and panics.  `clear` empties logs and runs and keeps their capacity,
+//! (the engine's TXN_START round action does it); filing into a frozen pool
+//! is a bug and panics.  `clear` empties logs and runs and keeps their capacity,
 //! so in steady state filing, freezing and clearing allocate nothing.
 //!
 //! How many pools exist and which executors insert into / process which pool

@@ -216,8 +216,8 @@ pub(crate) struct RunContext<A: Application> {
     shard_chains: Mutex<Vec<u64>>,
     abort_log: BatchAbortLog,
     /// The write-ahead log of a durable session (`None`: nothing is written
-    /// to disk).  Inputs are logged before routing, the leader stamps
-    /// epoch-numbered checkpoints at batch boundaries and truncates the
+    /// to disk).  Inputs are logged before routing, the closing round's
+    /// action stamps epoch-numbered checkpoints and truncates the
     /// segments they cover, and reopening the directory with
     /// `session_builder(..).durable(dir).recover()` restores + replays after
     /// a crash.
@@ -229,7 +229,7 @@ pub(crate) struct RunContext<A: Application> {
     /// only the delta in (the log's own counters are cumulative).
     wal_seen: Mutex<WalSeen>,
     /// Cumulative progress of this run, published by every executor before
-    /// the closing barrier round so the leader can stamp manifests with
+    /// the closing barrier round so its action can stamp manifests with
     /// exact counts (only maintained for durable sessions).
     live_events: AtomicU64,
     live_committed: AtomicU64,
@@ -315,18 +315,26 @@ impl<A: Application> RunContext<A> {
         );
     }
 
-    /// One barrier round, elided for single-executor runs: with one
-    /// executor there is nobody to rendezvous with, every wait would return
-    /// leader immediately, and the `SeqCst` round-trips per batch are pure
-    /// overhead — so the sole executor *is* the leader, with zero waits.
-    /// Poisoning still works: a single-executor run has no surviving
-    /// sibling to unblock.
+    /// One barrier round: every executor arrives, the last one runs
+    /// `action` on its own accumulators, and nobody leaves before the action
+    /// has run.  Elided for single-executor runs: with one executor there is
+    /// nobody to rendezvous with, and the `SeqCst` round-trips per batch are
+    /// pure overhead — so the sole executor runs the action inline, with
+    /// zero waits.  Poisoning still works: a single-executor run has no
+    /// surviving sibling to unblock.
     #[inline]
-    fn barrier_wait(&self, index: usize, batch: u64, state: &mut ExecutorState) -> bool {
+    fn round(
+        &self,
+        index: usize,
+        batch: u64,
+        state: &mut ExecutorState,
+        action: impl FnOnce(&mut ExecutorState),
+    ) {
         if self.layout.executors == 1 {
-            return true;
+            action(state);
+            return;
         }
-        let (leader, waited) = self.barrier.wait();
+        let waited = self.barrier.wait(|| action(state));
         state.breakdown.charge(Component::Sync, waited);
         self.obs.hub().barrier_wait(waited);
         self.obs.trace_exec(
@@ -336,7 +344,6 @@ impl<A: Application> RunContext<A> {
                 wait_ns: waited.as_nanos().min(u64::MAX as u128) as u64,
             },
         );
-        leader
     }
 
     /// Process one batch on executor `index`, advancing its accumulators:
@@ -345,10 +352,16 @@ impl<A: Application> RunContext<A> {
     /// must call this for every batch, in the same order — the barrier
     /// rounds keep them in lockstep.
     ///
-    /// Barrier rounds per batch (zero with a single executor): eager 3;
-    /// restructured 5, plus 1 when the batch replays serially, plus 1 more
-    /// when it replays in a durable session; fast 0, or 1 in a durable
-    /// session.  `tests/observability.rs` pins these numbers.
+    /// Barrier rounds per batch, with the actions their last arrivers run
+    /// (zero rounds with a single executor, which runs the actions inline);
+    /// neither a replay nor durability adds one.  `tests/observability.rs`
+    /// pins these numbers.
+    ///
+    /// | path | rounds | actions |
+    /// |---|---|---|
+    /// | eager | 2 | register the batch with the scheme; close |
+    /// | restructured | 3 | freeze at TXN_START; replay an abort's closure if needed; close |
+    /// | fast | 1 | close |
     pub(crate) fn step(
         &self,
         index: usize,
@@ -385,8 +398,9 @@ impl<A: Application> RunContext<A> {
         };
 
         // ---- Close.  A durable session first publishes this executor's
-        // outcome counts (final by now, see `tstream_step`) so the leader
-        // can stamp the checkpoint manifest with exact cumulative counts.
+        // outcome counts (final by now, see `tstream_step`) so the closing
+        // action can stamp the checkpoint manifest with exact cumulative
+        // counts.
         if self.durability.is_some() {
             let mut committed = state.committed - committed_before;
             let mut rejected = state.rejected - rejected_before;
@@ -400,13 +414,13 @@ impl<A: Application> RunContext<A> {
             self.live_committed.fetch_add(committed, Ordering::Relaxed);
             self.live_rejected.fetch_add(rejected, Ordering::Relaxed);
         }
-        // The closing round exists for the leader's work in it: the path's
-        // end-of-batch work, then the durable epilogue, both of which need
-        // every executor's writes in place.  A plain conflict-free batch has
-        // neither and synchronises zero times.  The next batch's state
-        // accesses cannot start before the leader reaches its first round.
-        let leader_has_work = !matches!(path, (Scheme::TStream, true)) || self.durability.is_some();
-        if leader_has_work && self.barrier_wait(index, seq, state) {
+        // Every batch closes with one round, whose action needs every
+        // executor's writes in place: the path's end-of-batch work, then the
+        // durable epilogue.  No executor starts the next batch before it has
+        // run, so the next batch's writes never overtake this one's or reach
+        // a checkpoint of it, and the next restructured batch files into
+        // empty pools.
+        self.round(index, seq, state, |state| {
             match path {
                 // E.g. MVLK's version garbage collection.
                 (Scheme::Eager(scheme), _) => scheme.end_batch(&self.store),
@@ -420,10 +434,9 @@ impl<A: Application> RunContext<A> {
                 }
             }
             self.wal_leader_checkpoint(batch, state);
-        }
+        });
 
-        // ---- Tail: back in compute mode, post-process the postponed events
-        // (the other executors do so while the leader is still closing).
+        // ---- Tail: back in compute mode, post-process the postponed events.
         let t_post = clock::now();
         for (event, blotter) in postponed {
             self.finish_event(batch, event, &blotter, state);
@@ -524,7 +537,7 @@ impl<A: Application> RunContext<A> {
             checkpoints,
             wal_bytes: self.durability.as_ref().map_or(0, |log| {
                 // Catch the tail of WAL activity (final seals, offline
-                // window syncs) that landed after the last leader drain.
+                // window syncs) that landed after the last closing drain.
                 self.drain_wal_activity(log);
                 log.wal_bytes()
             }),
@@ -532,8 +545,8 @@ impl<A: Application> RunContext<A> {
         }
     }
 
-    /// The durable epilogue of a batch, run by the leader inside the closing
-    /// round (every executor has published its outcome counts): account the
+    /// The durable epilogue of a batch, run by the closing round's action
+    /// (every executor has published its outcome counts): account the
     /// batch's events, and — on the configured cadence — write an
     /// epoch-stamped checkpoint and truncate the WAL segments it covers
     /// (Section IV-D).  Nothing to do for a plain run.
@@ -585,8 +598,8 @@ impl<A: Application> RunContext<A> {
     }
 
     /// Fold the WAL's cumulative counters into the metrics hub as a delta
-    /// since the previous drain.  Called by the leader at durable batch
-    /// boundaries and once more at aggregation, so the hub's durability
+    /// since the previous drain.  Called by the closing action of durable
+    /// batches and once more at aggregation, so the hub's durability
     /// series track the log without the log ever holding an obs handle.
     fn drain_wal_activity(&self, log: &DurableLog) {
         if !self.obs.enabled() {
@@ -629,13 +642,11 @@ impl<A: Application> RunContext<A> {
         batch: &EngineBatch<A::Payload>,
         state: &mut ExecutorState,
     ) {
-        let seq = batch.punctuation.seq;
-        // Enter the batch together; the leader registers the batch with the
-        // scheme (counter bookkeeping derived from read/write sets).
-        if self.barrier_wait(index, seq, state) {
+        // Enter the batch together; the round's action registers the batch
+        // with the scheme (counter bookkeeping derived from read/write sets).
+        self.round(index, batch.punctuation.seq, state, |_| {
             scheme.prepare_batch(&batch.descriptors);
-        }
-        self.barrier_wait(index, seq, state);
+        });
 
         let t_batch = clock::now();
         for event in &batch.per_executor[index] {
@@ -667,9 +678,9 @@ impl<A: Application> RunContext<A> {
         let assignment = self.pools.assignment(env.executor);
 
         // ---- Compute mode: pre-process events, decompose and postpone
-        // their transactions, cache the events for post-processing.
-        self.barrier_wait(index, seq, state);
-
+        // their transactions, cache the events for post-processing.  The
+        // pools are empty: the previous batch's closing action cleared them
+        // before releasing anyone.
         // Remote chain insertions only exist when the NUMA model is on *and*
         // the layout spans several sockets; on a single socket every insert
         // is local, so the per-op classification timers (two clock reads per
@@ -706,7 +717,7 @@ impl<A: Application> RunContext<A> {
         // ---- TXN_START: first barrier — all executors must have finished
         // registering their postponed transactions before state access
         // begins (Section IV-B.2).
-        if self.barrier_wait(index, seq, state) {
+        self.round(index, seq, state, |_| {
             // Freeze the pools — the first read does it: one sort per pool
             // turns the filed operations into chains — and record the real
             // shard placement of this batch's chains before processing
@@ -724,8 +735,7 @@ impl<A: Application> RunContext<A> {
                     chains: built.min(u32::MAX as u64) as u32,
                 },
             );
-        }
-        self.barrier_wait(index, seq, state);
+        });
 
         // ---- State-access mode: process the operation chains in parallel.
         let t_access = clock::now();
@@ -745,24 +755,14 @@ impl<A: Application> RunContext<A> {
         state.access_time += t_access.elapsed();
 
         // ---- Second barrier: post-processing must not start until every
-        // postponed state access has been processed (or aborted).
-        self.barrier_wait(index, seq, state);
-
-        // Fold temporary versions of depended-upon states into the committed
-        // values (safe: all processing finished at the barrier above).
-        restructure::collapse_versioned(&self.store, &versioned);
-
-        // ---- Multi-write abort handling (Section IV-F): if any
+        // postponed state access has been processed (or aborted).  Its
+        // action handles multi-write aborts (Section IV-F): if any
         // multi-operation transaction aborted, its writes in other chains may
-        // already have been applied.  All executors synchronise once more and
-        // the leader rolls back and replays the abort's closure.
-        //
-        // The flag is stable between the processing barrier above and the
-        // leader's `clear_batch` in the closing round, so every executor
-        // takes the same barrier path.
-        if self.abort_log.replay_needed() {
-            let t_access = clock::now();
-            if self.barrier_wait(index, seq, state) {
+        // already have been applied, so the closure of the abort is rolled
+        // back and replayed — before anyone reads an outcome.
+        self.round(index, seq, state, |state| {
+            if self.abort_log.replay_needed() {
+                let t_replay = clock::now();
                 let replay = restructure::replay_batch_serially(
                     &self.store,
                     &self.pools,
@@ -783,17 +783,17 @@ impl<A: Application> RunContext<A> {
                         aborted: count(replay.aborted),
                     },
                 );
+                state.access_time += t_replay.elapsed();
             }
-            state.access_time += t_access.elapsed();
-            // The leader rewrites outcomes until it arrives at the next
-            // round.  For a plain batch that is the closing round — early
-            // enough, as the outcomes are first read in the tail after it.
-            // A durable batch counts them *before* the closing round (the
-            // leader stamps the counts inside it), so only a replayed durable
-            // batch pays one more round here.
-            if self.durability.is_some() {
-                self.barrier_wait(index, seq, state);
-            }
+        });
+
+        // Fold temporary versions of depended-upon states into the committed
+        // values (safe: all processing finished at the barrier above).  A
+        // replay already folded every versioned state; the flag it ran on
+        // stands until the closing action clears it, so every executor
+        // agrees on whether to skip.
+        if !self.abort_log.replay_needed() {
+            restructure::collapse_versioned(&self.store, &versioned);
         }
         cached
     }
@@ -801,11 +801,13 @@ impl<A: Application> RunContext<A> {
     /// The body of one conflict-free batch (taken when ingestion classified
     /// the batch's transactions as pairwise disjoint, see
     /// [`batch_is_conflict_free`]): no decomposition, no chains, no
-    /// restructuring, no versioning, no barrier.  Each executor runs its own
-    /// events to completion with per-event rollback — with disjoint
-    /// read/write sets every interleaving is conflict-equivalent to the
-    /// timestamp order, so this produces exactly the schedule dynamic
-    /// restructuring would.
+    /// restructuring, no versioning, and no barrier before the batch's one
+    /// closing round.  Each executor runs its own events to completion with
+    /// per-event rollback — with disjoint read/write sets every interleaving
+    /// within the batch is conflict-equivalent to the timestamp order, so
+    /// this produces exactly the schedule dynamic restructuring would.
+    /// Across batches the closing round keeps the order: it releases no
+    /// executor into the next batch before every write of this one landed.
     fn tstream_fast_step(
         &self,
         index: usize,

@@ -23,10 +23,11 @@
 //!   other executors), and later operations may have read them.  This is
 //!   the expensive case the paper calls out in Section IV-F: "the abortion
 //!   of a multi-write transaction may roll back multiple operation chains".
-//!   The leader then replays the abort's *closure* — the transactions that
-//!   read a state it may have changed, transitively, and the blind writes
-//!   that land on such a state — after restoring each state it reached from
-//!   the [`BatchAbortLog`]; every other outcome of the batch stands.
+//!   The action of the round that ends state-access mode then replays the
+//!   abort's *closure* — the transactions that read a state it may have
+//!   changed, transitively, and the blind writes that land on such a state —
+//!   after restoring each state it reached from the [`BatchAbortLog`]; every
+//!   other outcome of the batch stands.
 
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -63,8 +64,9 @@ pub struct BatchAbortLog {
     /// during chain evaluation — where the replay's closure starts — or
     /// [`NO_ABORT`].
     first_abort: AtomicU64,
-    /// Scratch table of the replay, recycled across batches (replays are
-    /// leader-only at a quiescent point, so the lock is never contended).
+    /// Scratch table of the replay, recycled across batches (a replay runs
+    /// in one barrier action at a quiescent point, so the lock is never
+    /// contended).
     dirty: Mutex<DirtyStates>,
 }
 
@@ -243,6 +245,27 @@ pub struct VersionedState {
     slot: u32,
 }
 
+impl VersionedState {
+    /// The state of `chain` if the chain is versioned.  Every operation of a
+    /// chain targets the chain's state, so the first one carries its slot.
+    fn of(chain: &OperationChain<'_>) -> Option<VersionedState> {
+        if !chain.is_depended_upon() {
+            return None;
+        }
+        chain.get(0).map(|op| VersionedState {
+            target: op.target,
+            slot: op.slot,
+        })
+    }
+
+    /// Fold the state's temporary versions into its committed value.
+    fn collapse(self, store: &StateStore) {
+        if let Ok(record) = resolve_record(store, self.target, self.slot, None) {
+            record.collapse_versions();
+        }
+    }
+}
+
 /// Process the chains assigned to one executor for the current batch.
 ///
 /// Returns the statistics and the states of the *versioned* chains this
@@ -330,17 +353,7 @@ pub fn process_assigned(
     breakdown.charge(Component::Useful, t_all.elapsed());
 
     ctx.abort_log.append(undo);
-    // Every operation of a chain targets the chain's state, so the first
-    // one carries the state's slot.
-    let versioned = my_chains
-        .iter()
-        .filter(|chain| chain.is_depended_upon())
-        .filter_map(|chain| chain.get(0))
-        .map(|op| VersionedState {
-            target: op.target,
-            slot: op.slot,
-        })
-        .collect();
+    let versioned = my_chains.iter().filter_map(VersionedState::of).collect();
     (stats, versioned)
 }
 
@@ -534,14 +547,13 @@ fn execute_chain_op(
 }
 
 /// Fold the temporary versions of the given states into their committed
-/// values (end-of-batch garbage collection, Section IV-C.2).
+/// values (end-of-batch garbage collection, Section IV-C.2).  Folding a
+/// state twice is a no-op: the first fold leaves no versions behind.
 ///
 /// Must only be called once every executor has finished processing the batch.
 pub fn collapse_versioned(store: &StateStore, versioned: &[VersionedState]) {
     for state in versioned {
-        if let Ok(record) = resolve_record(store, state.target, state.slot, None) {
-            record.collapse_versions();
-        }
+        state.collapse(store);
     }
 }
 
@@ -599,8 +611,12 @@ fn is_blind_write(op: &Operation) -> bool {
 /// 3. the dirty transactions are re-executed with per-transaction rollback,
 ///    and the kept blind writes re-applied, in timestamp order.
 ///
-/// Must be called from a single thread at a quiescent point: after
-/// [`collapse_versioned`] and before post-processing starts.
+/// The temporary versions of every versioned chain are folded into the
+/// committed values first (see [`collapse_versioned`]), so the replay reads
+/// and writes committed values only; a caller may have folded them already.
+///
+/// Must be called from a single thread at a quiescent point: after every
+/// executor finished processing the batch and before post-processing starts.
 pub fn replay_batch_serially(
     store: &StateStore,
     pools: &ChainPoolSet,
@@ -611,11 +627,17 @@ pub fn replay_batch_serially(
     let mut stats = ReplayStats::default();
     let first_abort = abort_log.first_abort.load(Ordering::Acquire);
 
+    let frozen = pools.freeze();
+    for chain in frozen.iter().flat_map(FrozenPool::chains) {
+        if let Some(state) = VersionedState::of(&chain) {
+            state.collapse(store);
+        }
+    }
+
     // Gather the operations from the first abort on out of the frozen logs,
     // as references beside their sort keys.  One unstable sort by
     // (ts, op_index) recovers both the serial transaction order and the
     // issue order within each transaction.
-    let frozen = pools.freeze();
     let mut keyed: Vec<(Timestamp, u32, &Operation)> = frozen
         .iter()
         .flat_map(|pool| pool.operations())

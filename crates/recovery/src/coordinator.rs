@@ -516,7 +516,7 @@ impl RecoveryCoordinator {
 /// The live durability handle of an engine run.
 ///
 /// Appends/seals come from the ingestion thread; checkpoints and truncation
-/// from the executor leader at the end-of-batch barrier.  When a
+/// from the action of a batch's closing barrier round.  When a
 /// [`FlushExecutor`] is attached and the policy syncs every window
 /// ([`FsyncPolicy::Always`]), full group-commit windows are written and
 /// synced on its writer thread while the ingestion thread keeps buffering
@@ -722,8 +722,10 @@ impl DurableLog {
     }
 
     /// Write an epoch-stamped checkpoint of `store` and truncate every WAL
-    /// segment the checkpoint covers.  Called by the executor leader at the
-    /// end-of-batch barrier, where the store is quiescent by construction.
+    /// segment the checkpoint covers.  Called by the action of a batch's
+    /// closing barrier round, where the store is quiescent by construction:
+    /// every executor's writes of the batch landed, and no executor is
+    /// released into the next batch before the action returns.
     ///
     /// Refuses to checkpoint an epoch whose WAL segment never sealed (a
     /// failed seal leaves the batch input only in the unsealed tail): a
@@ -810,8 +812,8 @@ impl DurableLog {
     /// Record the leader's state root for `epoch` and notify the attached
     /// shipper that the epoch's sealed segment is ready to ship.
     ///
-    /// Called by the executor leader at the end-of-batch barrier, after the
-    /// epoch's batch fully executed (store quiescent, segment sealed).
+    /// Called by the action of the epoch's closing barrier round, after its
+    /// batch fully executed (store quiescent, segment sealed).
     pub fn record_epoch_root(&self, epoch: u64, root: u64) {
         self.roots.lock().insert(epoch, root);
         if let Some(sink) = self.attached_shipper() {

@@ -154,8 +154,9 @@ impl StoreSnapshot {
     /// Capture the committed values of every table.
     ///
     /// The caller must ensure the store is quiescent (no concurrent writers);
-    /// the engine takes snapshots at the end-of-batch barrier where that holds
-    /// by construction.
+    /// the engine takes snapshots in the action of a batch's closing barrier
+    /// round, which runs after every executor's writes of the batch landed
+    /// and before any executor is released into the next batch.
     pub fn capture(store: &StateStore) -> Self {
         let tables = store
             .tables()

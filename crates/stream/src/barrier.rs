@@ -1,12 +1,16 @@
-//! A reusable cyclic barrier.
+//! A reusable cyclic barrier whose rounds carry their own work.
 //!
-//! TStream adds two barriers around state-access mode (Section IV-B.2): one
-//! after `TXN_START` so state access only begins once every executor has
-//! finished registering its postponed transactions, and one before compute
-//! mode resumes so post-processing only sees fully processed state.  The
-//! paper uses Java's `CyclicBarrier`; this is the Rust equivalent, with the
-//! addition that `wait` reports how long the caller blocked so the *Sync*
-//! component of the time breakdown can be attributed precisely.
+//! TStream synchronises executors twice around state-access mode (Section
+//! IV-B.2): once after `TXN_START`, so state access only begins once every
+//! executor has finished registering its postponed transactions, and once
+//! before compute mode resumes, so post-processing only sees fully processed
+//! state.  The paper uses Java's `CyclicBarrier(parties, barrierAction)`;
+//! this is the Rust equivalent.  [`CyclicBarrier::wait`] takes the round's
+//! action: the last party to arrive runs it, and nobody leaves the round
+//! before it has finished, so single-threaded work between two phases (a
+//! freeze, a replay, a checkpoint) costs no round of its own.  `wait` also
+//! reports how long the caller blocked, so the *Sync* component of the time
+//! breakdown can be attributed precisely.
 
 use std::time::Duration;
 
@@ -52,16 +56,23 @@ impl CyclicBarrier {
         self.parties
     }
 
-    /// Wait until all parties have arrived.  Returns `(is_leader, waited)`:
-    /// the leader is the last arriver (it can perform single-threaded
-    /// housekeeping such as clearing chain pools), and `waited` is the time
-    /// spent blocked, charged to the *Sync* breakdown component.
+    /// Wait until all parties have arrived.  The last arriver runs `action`
+    /// (the other parties' actions are dropped unrun) before the round
+    /// releases, so everything the action wrote is visible to every party
+    /// when `wait` returns.  Returns the time spent blocked, charged to the
+    /// *Sync* breakdown component; the last arriver's own action is not
+    /// part of it.
     ///
     /// # Panics
     ///
     /// Panics if the barrier has been [`CyclicBarrier::poison`]ed — a party
-    /// died, so waiting for it would block forever.
-    pub fn wait(&self) -> (bool, Duration) {
+    /// died, so waiting for it would block forever.  A panicking `action`
+    /// propagates to its caller with the round unreleased; like any party
+    /// that dies, the caller must poison the barrier so the parties blocked
+    /// on the round panic instead of waiting forever.  Leaving that to the
+    /// caller lets it record the action's panic as the root cause before
+    /// the siblings' poison panics.
+    pub fn wait(&self, action: impl FnOnce()) -> Duration {
         let start = clock::now();
         let mut state = self.state.lock();
         assert!(
@@ -70,12 +81,18 @@ impl CyclicBarrier {
         );
         state.waiting += 1;
         if state.waiting == self.parties {
-            // Last arriver: release everybody and start a new generation.
+            // Last arriver: every other party is blocked in this round, so
+            // the action runs alone without holding the lock; bumping the
+            // generation afterwards releases everybody into the next round.
             state.waiting = 0;
+            drop(state);
+            let waited = start.elapsed();
+            action();
+            let mut state = self.state.lock();
             state.generation = state.generation.wrapping_add(1);
             drop(state);
             self.cond.notify_all();
-            (true, start.elapsed())
+            waited
         } else {
             let generation = state.generation;
             while state.generation == generation {
@@ -86,7 +103,7 @@ impl CyclicBarrier {
                 );
             }
             drop(state);
-            (false, start.elapsed())
+            start.elapsed()
         }
     }
 
@@ -114,40 +131,46 @@ mod tests {
     // production code.
     #![allow(clippy::disallowed_methods)]
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
 
     #[test]
     fn single_party_never_blocks() {
         let b = CyclicBarrier::new(1);
-        let (leader, waited) = b.wait();
-        assert!(leader);
+        let mut ran = false;
+        let waited = b.wait(|| ran = true);
+        assert!(ran);
         assert!(waited < Duration::from_millis(50));
     }
 
+    /// Exactly one party — the leader, the last to arrive — runs the
+    /// round's action, and every party leaves only after it has run.
     #[test]
     fn all_threads_released_together_and_exactly_one_leader() {
         let parties = 8;
         let barrier = Arc::new(CyclicBarrier::new(parties));
-        let leaders = Arc::new(AtomicUsize::new(0));
+        let actions = Arc::new(AtomicUsize::new(0));
         let passed = Arc::new(AtomicUsize::new(0));
         let mut handles = Vec::new();
         for _ in 0..parties {
             let barrier = barrier.clone();
-            let leaders = leaders.clone();
+            let actions = actions.clone();
             let passed = passed.clone();
             handles.push(std::thread::spawn(move || {
-                let (leader, _) = barrier.wait();
-                if leader {
-                    leaders.fetch_add(1, Ordering::SeqCst);
-                }
+                barrier.wait(|| {
+                    // Give a premature release a chance to show.
+                    std::thread::sleep(Duration::from_millis(5));
+                    actions.fetch_add(1, Ordering::SeqCst);
+                });
+                assert_eq!(actions.load(Ordering::SeqCst), 1);
                 passed.fetch_add(1, Ordering::SeqCst);
             }));
         }
         for h in handles {
             h.join().unwrap();
         }
-        assert_eq!(leaders.load(Ordering::SeqCst), 1);
+        assert_eq!(actions.load(Ordering::SeqCst), 1);
         assert_eq!(passed.load(Ordering::SeqCst), parties);
     }
 
@@ -166,9 +189,9 @@ mod tests {
                     // Every thread must observe the full count of the
                     // previous round before anyone proceeds.
                     counter.fetch_add(1, Ordering::SeqCst);
-                    barrier.wait();
+                    barrier.wait(|| {});
                     assert!(counter.load(Ordering::SeqCst) >= (round + 1) * parties);
-                    barrier.wait();
+                    barrier.wait(|| {});
                 }
             }));
         }
@@ -182,7 +205,7 @@ mod tests {
     fn zero_parties_clamped_to_one() {
         let b = CyclicBarrier::new(0);
         assert_eq!(b.parties(), 1);
-        b.wait();
+        b.wait(|| {});
     }
 
     /// Regression test for the persistent executor pool: a pool reuses one
@@ -204,11 +227,10 @@ mod tests {
             handles.push(std::thread::spawn(move || {
                 let mut leads = 0usize;
                 for _ in 0..rounds {
-                    let (leader, _) = barrier.wait();
-                    if leader {
+                    barrier.wait(|| {
                         leads += 1;
                         rounds_seen.fetch_add(1, Ordering::SeqCst);
-                    }
+                    });
                     // One thread re-enters immediately; the other yields so
                     // their arrival orders interleave across generations.
                     if !spin {
@@ -219,7 +241,7 @@ mod tests {
             }));
         }
         let total_leads: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total_leads, rounds, "exactly one leader per generation");
+        assert_eq!(total_leads, rounds, "exactly one action per generation");
         assert_eq!(rounds_seen.load(Ordering::SeqCst), rounds);
     }
 
@@ -233,12 +255,12 @@ mod tests {
         for _ in 0..2 {
             let barrier = barrier.clone();
             handles.push(std::thread::spawn(move || {
-                barrier.wait();
-                barrier.wait();
+                barrier.wait(|| {});
+                barrier.wait(|| {});
             }));
         }
-        barrier.wait();
-        barrier.wait();
+        barrier.wait(|| {});
+        barrier.wait(|| {});
         for h in handles {
             h.join().unwrap();
         }
@@ -254,7 +276,7 @@ mod tests {
         for _ in 0..2 {
             let barrier = barrier.clone();
             handles.push(std::thread::spawn(move || {
-                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait())).is_err()
+                catch_unwind(AssertUnwindSafe(|| barrier.wait(|| {}))).is_err()
             }));
         }
         // Give both waiters time to block, then poison instead of arriving.
@@ -265,14 +287,42 @@ mod tests {
             assert!(h.join().unwrap(), "blocked waiters must panic, not hang");
         }
         assert!(barrier.is_poisoned());
-        let late = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| barrier.wait()));
+        let late = catch_unwind(AssertUnwindSafe(|| barrier.wait(|| {})));
         assert!(late.is_err(), "late arrivals must panic too");
     }
 
-    /// Batch-shaped reuse: the engine passes each barrier generation with a
-    /// known phase counter.  Under uneven per-round delays, no thread may
-    /// ever observe a phase more than one round away from its own — the
-    /// failure mode a lost or double-counted generation would produce.
+    /// A panicking action reaches its caller, which poisons the barrier as
+    /// the executor runtime does: the parties blocked on the unreleased
+    /// round panic instead of waiting forever.
+    #[test]
+    fn panicking_action_reaches_its_caller_and_poison_frees_the_round() {
+        let parties = 3;
+        let barrier = Arc::new(CyclicBarrier::new(parties));
+        let handles: Vec<_> = (0..parties)
+            .map(|_| {
+                let barrier = barrier.clone();
+                std::thread::spawn(move || {
+                    let wait = catch_unwind(AssertUnwindSafe(|| {
+                        barrier.wait(|| panic!("deliberate action panic"))
+                    }));
+                    if wait.is_err() {
+                        barrier.poison();
+                    }
+                    wait.is_err()
+                })
+            })
+            .collect();
+        for h in handles {
+            assert!(h.join().unwrap(), "every party must panic, none hang");
+        }
+        assert!(barrier.is_poisoned());
+    }
+
+    /// Batch-shaped reuse: each round's action publishes the round's phase.
+    /// Under uneven per-round delays, every party must see exactly that phase
+    /// when the round releases it — the failure mode a lost or
+    /// double-counted generation, or a release before the action, would
+    /// produce.
     #[test]
     fn repeated_waits_keep_all_parties_in_lockstep_phases() {
         let parties = 4;
@@ -285,18 +335,13 @@ mod tests {
             let phase = phase.clone();
             handles.push(std::thread::spawn(move || {
                 for round in 0..rounds {
-                    let (leader, _) = barrier.wait();
-                    if leader {
-                        phase.store(round + 1, Ordering::SeqCst);
-                    }
                     if t % 2 == 0 {
                         std::thread::yield_now();
                     }
-                    let (_, _) = barrier.wait();
-                    // Between the two barriers of round N the phase is
-                    // exactly N + 1: the leader of round N set it, and no
-                    // thread can reach round N + 1's first barrier before
-                    // everyone passed this one.
+                    barrier.wait(|| phase.store(round + 1, Ordering::SeqCst));
+                    // After round N the phase is exactly N + 1: its action
+                    // ran before the release, and round N + 1's action cannot
+                    // run before this thread arrives there.
                     assert_eq!(phase.load(Ordering::SeqCst), round + 1);
                 }
             }));

@@ -487,18 +487,22 @@ fn adaptive_punctuation_retunes_the_interval_and_stays_exact() {
         .open()
         .unwrap();
     assert_eq!(session.punctuation_interval(), 25);
+    // Noise can walk the hill climb back down to 25 by the end, so the
+    // growth is asserted on the largest interval seen along the way.
+    let mut largest = 25;
     for i in 0..2_000u64 {
         session.push(i % 16).unwrap();
+        largest = largest.max(session.punctuation_interval());
     }
-    let grown = session.punctuation_interval();
     assert!(
-        grown > 25,
+        largest > 25,
         "the first observations always improve on no-best, so the \
-         controller must have grown the interval (got {grown})"
+         controller must have grown the interval (largest {largest})"
     );
+    let in_effect = session.punctuation_interval();
     let report = session.report().unwrap();
     assert_eq!(
-        report.punctuation_interval, grown,
+        report.punctuation_interval, in_effect,
         "the report must carry the interval in effect, not the configured one"
     );
     assert_eq!(report.committed, 2_000);

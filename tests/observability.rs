@@ -11,12 +11,14 @@
 use std::fs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use tstream_apps::workload::WorkloadSpec;
 use tstream_apps::{gs, ob, sl, SchemeKind};
 use tstream_core::prelude::*;
 use tstream_recovery::coordinator::CHECKPOINT_SUBDIR;
+use tstream_state::StateError;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -202,9 +204,10 @@ where
 #[test]
 fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
     // The barrier protocol, as recorded numbers: rounds per batch on two
-    // executors for each execution path, plain and durable.  Durability adds
-    // a round only where no closing round exists yet (fast path) or where the
-    // outcomes are rewritten after it (serial replay).
+    // executors for each execution path, plain and durable.  Every batch
+    // closes with one round whose action ends the batch and checkpoints;
+    // neither durability nor a serial replay (the processing round's action)
+    // adds one.
     let sl_spec = WorkloadSpec::default().events(800).keys(32).seed(93);
     let ob_spec = WorkloadSpec::default().keys(16).seed(94);
     // A poisoned Alter followed by a valid one over the same items: the pair
@@ -241,7 +244,7 @@ fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
                 &SchemeKind::NoLock.build(4),
                 durable,
             );
-            assert_eq!(eager, expect(3), "eager, {case}");
+            assert_eq!(eager, expect(2), "eager, {case}");
 
             let (restructured, m) = barrier_rounds_per_batch(
                 executors,
@@ -253,7 +256,7 @@ fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
                 durable,
             );
             assert_eq!((m.exec_restructured_batches, m.exec_serial_replays), (4, 0));
-            assert_eq!(restructured, expect(5), "restructured, {case}");
+            assert_eq!(restructured, expect(3), "restructured, {case}");
 
             let (replayed, m) = barrier_rounds_per_batch(
                 executors,
@@ -265,11 +268,7 @@ fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
                 durable,
             );
             assert_eq!(m.exec_serial_replays, 4);
-            assert_eq!(
-                replayed,
-                expect(if durable { 7 } else { 6 }),
-                "restructured + replay, {case}"
-            );
+            assert_eq!(replayed, expect(3), "restructured + replay, {case}");
 
             let (fast, m) = barrier_rounds_per_batch(
                 executors,
@@ -281,7 +280,7 @@ fn barrier_rounds_per_batch_are_fixed_per_execution_path() {
                 durable,
             );
             assert_eq!(m.exec_fast_path_batches, 4);
-            assert_eq!(fast, expect(u64::from(durable)), "fast, {case}");
+            assert_eq!(fast, expect(1), "fast, {case}");
         }
     }
 }
@@ -518,4 +517,108 @@ fn poisoned_run_dumps_the_post_mortem_exactly_once() {
     );
     assert_eq!(report.committed, 128);
     assert_eq!(engine.post_mortem_count(), 1, "still exactly one dump");
+}
+
+/// Two-event batches that force a serial replay whose re-execution panics.
+#[derive(Clone)]
+enum ReplayStep {
+    /// Writes both keys; the write to the second fails, so a multi-write
+    /// transaction aborts in the first pass.
+    Abort(u64, u64),
+    /// Increments the key — the closure panics the second time it runs,
+    /// which is inside the replay of the abort's closure.
+    Bump(u64),
+}
+
+struct PanicsOnReplay {
+    bumps: Arc<AtomicUsize>,
+}
+
+impl Application for PanicsOnReplay {
+    type Payload = ReplayStep;
+    fn name(&self) -> &'static str {
+        "panics-on-replay"
+    }
+    fn read_write_set(&self, step: &ReplayStep) -> ReadWriteSet {
+        match *step {
+            ReplayStep::Abort(a, b) => ReadWriteSet::new()
+                .write(StateRef::new(0, a))
+                .write(StateRef::new(0, b)),
+            ReplayStep::Bump(key) => ReadWriteSet::new().write(StateRef::new(0, key)),
+        }
+    }
+    fn state_access(&self, step: &ReplayStep, txn: &mut TxnBuilder) {
+        match *step {
+            ReplayStep::Abort(a, b) => {
+                txn.write_value(0, a, Value::Long(-1));
+                txn.write_with(0, b, None, |_| {
+                    Err(StateError::ConsistencyViolation("deliberate abort".into()))
+                });
+            }
+            ReplayStep::Bump(key) => {
+                let bumps = self.bumps.clone();
+                txn.read_modify(0, key, None, move |ctx| {
+                    assert_eq!(
+                        bumps.fetch_add(1, Ordering::SeqCst),
+                        0,
+                        "deliberate panic in the replay"
+                    );
+                    Ok(Value::Long(ctx.current.as_long()? + 1))
+                });
+            }
+        }
+    }
+    fn post_process(&self, _: &ReplayStep, _: &EventBlotter) -> PostAction {
+        PostAction::Emit
+    }
+}
+
+#[test]
+fn panic_inside_a_round_action_dumps_the_post_mortem_exactly_once() {
+    // The replay runs as the processing round's action on whichever of the
+    // two executors arrives last; its panic must surface as the session's
+    // root cause while the sibling blocked in the round unwinds on the
+    // poison instead of hanging.
+    let store = counter_store(4);
+    let engine = Engine::new(EngineConfig::with_executors(2).punctuation(2));
+    let bumps = Arc::new(AtomicUsize::new(0));
+    let app = Arc::new(PanicsOnReplay {
+        bumps: bumps.clone(),
+    });
+
+    let caught = catch_unwind(AssertUnwindSafe(|| {
+        let mut session = engine
+            .session_builder(&app, &store, &Scheme::TStream)
+            .open()
+            .unwrap();
+        session.push(ReplayStep::Abort(0, 1)).unwrap();
+        session.push(ReplayStep::Bump(0)).unwrap();
+        session.report().unwrap()
+    }));
+    let payload = caught.expect_err("the panic in the replay must re-raise");
+    let message = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied())
+        .unwrap_or_default();
+    assert!(
+        message.contains("deliberate panic in the replay"),
+        "the root cause must be the action's panic, not a poisoned round: {message}"
+    );
+    assert_eq!(
+        bumps.load(Ordering::SeqCst),
+        2,
+        "first pass, then the replay"
+    );
+    assert_eq!(engine.post_mortem_count(), 1);
+    let dump = engine.last_post_mortem().expect("a dump was recorded");
+    assert!(
+        dump.contains("PANICKED") && dump.contains("POISONED"),
+        "dump must carry the crash trace markers: {dump}"
+    );
+    let m = engine.metrics_snapshot();
+    assert_eq!(
+        m.exec_barrier_waits, 2,
+        "both executors passed TXN_START; neither left the replay round"
+    );
 }
