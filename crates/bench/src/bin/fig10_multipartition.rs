@@ -36,7 +36,7 @@ fn run_report(
         .shards((cores as u32).max(4));
     let engine = EngineConfig::with_executors(cores)
         .punctuation(500)
-        .numa(NumaModel::classify_only());
+        .numa(NumaModel::paper_calibrated());
     let mut options = RunOptions::new(spec, engine);
     options.pat_partitions = cores as u32;
     options.gs_with_summation = false;

@@ -25,7 +25,7 @@ fn run(cfg: &HarnessConfig, cores: usize, read_ratio: f64, skew: f64, scheme: Sc
         .partitions(cores as u32);
     let engine = EngineConfig::with_executors(cores)
         .punctuation(500)
-        .numa(NumaModel::classify_only());
+        .numa(NumaModel::paper_calibrated());
     let mut options = RunOptions::new(spec, engine);
     options.pat_partitions = cores as u32;
     options.gs_with_summation = false;

@@ -18,9 +18,9 @@
 //! experiment.
 //!
 //! The absolute numbers differ from the paper (different machine, Rust
-//! instead of the JVM, modelled NUMA) — see `EXPERIMENTS.md` for the
-//! paper-vs-measured comparison; the *shape* (which scheme wins, by roughly
-//! what factor, where the crossovers are) is what these harnesses reproduce.
+//! instead of the JVM, modelled NUMA); the *shape* (which scheme wins, by
+//! roughly what factor, where the crossovers are) is what these harnesses
+//! reproduce.
 
 #![warn(missing_docs)]
 
@@ -29,6 +29,7 @@ use std::time::Duration;
 use tstream_apps::runner::{run_benchmark, AppKind, RunOptions, SchemeKind};
 use tstream_apps::workload::WorkloadSpec;
 use tstream_core::{EngineConfig, RunReport};
+use tstream_stream::metrics::Breakdown;
 use tstream_txn::NumaModel;
 
 /// Common command-line handling and sizing for the figure harnesses.
@@ -114,10 +115,17 @@ pub fn run_point(
         .partitions(cores.max(1) as u32);
     let engine = EngineConfig::with_executors(cores)
         .punctuation(punctuation)
-        .numa(NumaModel::classify_only());
+        .numa(NumaModel::paper_calibrated());
     let mut options = RunOptions::new(spec, engine);
     options.pat_partitions = cores.max(1) as u32;
     run_benchmark(app, scheme, &options)
+}
+
+/// The modelled remote-memory-access time of a run, "RMA (modelled)": its
+/// counted remote accesses, each priced at the paper-calibrated local-vs-remote
+/// latency gap.  Nothing was delayed while the run executed.
+pub fn modelled_rma(breakdown: &Breakdown) -> Duration {
+    Duration::from_nanos(breakdown.remote_accesses * NumaModel::paper_calibrated().remote_delay_ns)
 }
 
 /// Format a duration in milliseconds.

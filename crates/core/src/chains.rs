@@ -665,8 +665,8 @@ impl ChainPoolSet {
     }
 
     /// Whether insertion of `state` by `executor` crosses a pool boundary
-    /// that the NUMA model counts as remote (used for RMA accounting during
-    /// decomposition).
+    /// that the NUMA model counts as remote (counted in
+    /// `Breakdown::remote_accesses` during decomposition).
     pub fn is_remote_insert(&self, executor: ExecutorId, state: StateRef) -> bool {
         match self.placement {
             ChainPlacement::SharedNothing => {

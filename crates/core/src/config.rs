@@ -105,7 +105,7 @@ pub struct EngineConfig {
     /// How input events are assigned to executors: the paper's round-robin
     /// shuffle, or shard-affine routing onto the owners of their key shards.
     pub event_routing: EventRouting,
-    /// NUMA model used for remote-access classification / delay injection.
+    /// NUMA model under which remote accesses are counted.
     pub numa: NumaModel,
     /// TStream-specific options (ignored by eager schemes).
     pub tstream: TStreamConfig,

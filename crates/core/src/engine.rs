@@ -36,7 +36,7 @@ use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
 use parking_lot::Mutex;
-use tstream_obs::clock::{self, Stopwatch};
+use tstream_obs::clock;
 use tstream_obs::{MetricsSnapshot, Obs, TraceEvent, TraceKind, NO_BATCH};
 use tstream_recovery::{DurableLog, WalStats};
 use tstream_state::checkpoint::CheckpointManifest;
@@ -682,10 +682,7 @@ impl<A: Application> RunContext<A> {
         // pools are empty: the previous batch's closing action cleared them
         // before releasing anyone.
         // Remote chain insertions only exist when the NUMA model is on *and*
-        // the layout spans several sockets; on a single socket every insert
-        // is local, so the per-op classification timers (two clock reads per
-        // operation) are skipped and insert time simply stays inside the
-        // compute-mode window it already belongs to.
+        // the layout spans several sockets; only then are they counted.
         let classify_remote = env.numa.enabled && self.layout.sockets() > 1;
         let t_compute = clock::now();
         let my_events = &batch.per_executor[index];
@@ -695,20 +692,10 @@ impl<A: Application> RunContext<A> {
             // Dynamic transaction decomposition (Section IV-C.1): one chain
             // insert per operation.
             for op in txn.ops {
-                let remote_insert =
-                    classify_remote && self.pools.is_remote_insert(env.executor, op.target);
-                let t_insert = Stopwatch::start_if(classify_remote);
-                self.pools.chain_for_op(&op).insert(op);
-                if classify_remote {
-                    state.breakdown.charge(
-                        if remote_insert {
-                            Component::Rma
-                        } else {
-                            Component::Others
-                        },
-                        t_insert.elapsed(),
-                    );
+                if classify_remote && self.pools.is_remote_insert(env.executor, op.target) {
+                    state.breakdown.remote_accesses += 1;
                 }
+                self.pools.chain_for_op(&op).insert(op);
             }
             cached.push((event, blotter));
         }

@@ -224,11 +224,9 @@ pub struct RestructureContext<'a> {
     pub resolution: DependencyResolution,
     /// Whether chains are claimed dynamically within a sharing group.
     pub work_stealing: bool,
-    /// Whether per-operation remote/local classification (and the fine
-    /// per-operation timers that come with it) is worth paying for: true only
-    /// when the NUMA model is enabled *and* the layout spans sockets.  When
-    /// false, access time is charged at chain/batch granularity instead of
-    /// two clock reads per operation.
+    /// Whether this executor counts the remote operations of the chains it
+    /// claimed, in one pass after processing them: worth doing only when the
+    /// NUMA model is enabled *and* the layout spans sockets.
     pub classify_remote: bool,
     /// Whether the whole run uses a single executor.  Barriers are elided
     /// and the executor takes every chain of its pool.
@@ -299,10 +297,10 @@ pub fn process_assigned(
             .collect()
     };
 
-    // With per-op classification off, Useful is charged per chain/burst —
-    // or, for a lone executor, once around its whole share.
-    let t_all = Stopwatch::start_if(ctx.single_executor && !ctx.classify_remote);
-    let per_chain = !ctx.single_executor && !ctx.classify_remote;
+    // Useful is charged per chain/burst — or, for a lone executor, once
+    // around its whole share.
+    let t_all = Stopwatch::start_if(ctx.single_executor);
+    let per_chain = !ctx.single_executor;
 
     if ctx.single_executor || ctx.resolution == DependencyResolution::FineGrained {
         // With one executor the cooperative scheduler can never stall: the
@@ -351,6 +349,13 @@ pub fn process_assigned(
         }
     }
     breakdown.charge(Component::Useful, t_all.elapsed());
+    if ctx.classify_remote {
+        breakdown.remote_accesses += my_chains
+            .iter()
+            .flat_map(|chain| chain.iter())
+            .filter(|op| ctx.env.is_remote_op(op))
+            .count() as u64;
+    }
 
     ctx.abort_log.append(undo);
     let versioned = my_chains.iter().filter_map(VersionedState::of).collect();
@@ -521,7 +526,7 @@ fn execute_chain_op(
             ValueMode::Committed
         },
         dependency: ValueMode::Versioned,
-        classify: ctx.classify_remote,
+        classify: false,
     };
     if op.blotter.is_aborted() {
         stats.skipped += 1;
@@ -699,15 +704,13 @@ pub fn replay_batch_serially(
     drop(log);
     drop(guard);
 
-    // ---- 3. Re-execute in timestamp order through the shared kernel.
-    // Operations are timed one by one only where chain evaluation times
-    // them too; otherwise the whole re-execution is charged at once.
-    let classify = env.numa.enabled && env.layout.sockets() > 1;
+    // ---- 3. Re-execute in timestamp order through the shared kernel,
+    // charging the whole re-execution at once.
     let plan = AccessPlan {
-        classify,
+        classify: false,
         ..AccessPlan::eager(ValueMode::Committed)
     };
-    let t_all = Stopwatch::start_if(!classify);
+    let t_all = Stopwatch::start();
     let mut undo = Vec::new();
     for step in steps {
         match step {
@@ -1219,6 +1222,78 @@ mod tests {
         assert_eq!(chained_store.snapshot(), serial_store.snapshot());
         assert_eq!(results(&chained_blotters), results(&serial_blotters));
         assert!(serial_blotters.iter().any(|b| b.is_aborted()));
+    }
+
+    #[test]
+    fn remote_operations_are_counted_once_by_the_executor_that_claims_them() {
+        // Two executors on two synthetic sockets, one shared-nothing pool
+        // each.  Every odd transaction reads a dependency, so both sides of
+        // an operation can be remote.
+        let layout = ExecutorLayout::new(2, 1);
+        assert_eq!(layout.sockets(), 2);
+        let env_of = |e: usize| ExecEnv {
+            executor: tstream_stream::ExecutorId(e),
+            layout,
+            numa: tstream_txn::NumaModel::paper_calibrated(),
+        };
+        let run = |classify_remote: bool| {
+            let store = store(16);
+            let pools = ChainPoolSet::new(ChainPlacement::SharedNothing, layout, 1);
+            let mut accesses = Vec::new();
+            for ts in 0..64u64 {
+                let mut b = TxnBuilder::new(ts);
+                let dependency = (ts % 2 == 1).then(|| StateRef::new(0, (ts + 5) % 16));
+                b.write_with(0, ts % 16, dependency, |ctx| {
+                    let read = ctx.dependency.map_or(Ok(1), Value::as_long)?;
+                    Ok(Value::Long(ctx.current.as_long()? + read))
+                });
+                accesses.push((StateRef::new(0, ts % 16), dependency));
+                decompose(&pools, b.build().0);
+            }
+            let abort_log = BatchAbortLog::new();
+            let counts: Vec<u64> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..2)
+                    .map(|e| {
+                        let (pools, store, abort_log) = (&pools, &store, &abort_log);
+                        s.spawn(move || {
+                            let context = RestructureContext {
+                                pools,
+                                store,
+                                env: env_of(e),
+                                resolution: DependencyResolution::FineGrained,
+                                work_stealing: false,
+                                classify_remote,
+                                single_executor: false,
+                                abort_log,
+                            };
+                            let mut breakdown = Breakdown::new();
+                            let executor = tstream_stream::ExecutorId(e);
+                            process_assigned(&context, pools.assignment(executor), &mut breakdown);
+                            breakdown.remote_accesses
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            // The oracle: the executor owning the target's pool processes the
+            // operation; a side is remote when its key's socket is not the
+            // executor's.
+            let mut expected = [0u64; 2];
+            for (target, dependency) in accesses {
+                let e = pools.pool_index_for_state(target);
+                let env = env_of(e);
+                let remote =
+                    |state: StateRef| env.owner_socket(state.key) != layout.socket_of(env.executor);
+                expected[e] += u64::from(remote(target) || dependency.is_some_and(remote));
+            }
+            (counts, expected)
+        };
+
+        let (counts, expected) = run(true);
+        assert_eq!(counts, expected);
+        assert!(counts.iter().all(|&c| c > 0), "{counts:?}");
+        let (counts, _) = run(false);
+        assert_eq!(counts, [0, 0]);
     }
 
     #[test]

@@ -17,8 +17,9 @@ use crate::Timestamp;
 ///   versions (TStream's dependency handling);
 /// * a queued, timestamp-ordered [`RecordLock`] (LOCK / PAT);
 /// * a [`SeqGate`] write watermark: the number of writes applied to this
-///   record so far — MVLK's `lwm`, and the fine-grained dependency watermark
-///   TStream's restructured execution waits on.
+///   record so far — MVLK's `lwm`.  Only MVLK waits on it; TStream's
+///   restructured execution waits on its operation chains' own
+///   `processed_upto` watermarks instead.
 #[derive(Debug)]
 pub struct Record {
     value: RwLock<Value>,
@@ -112,7 +113,7 @@ impl Record {
         &self.lock
     }
 
-    /// The record's write watermark (MVLK `lwm` / TStream dependency gate).
+    /// The record's write watermark (MVLK's `lwm`).
     pub fn write_gate(&self) -> &SeqGate {
         &self.write_gate
     }

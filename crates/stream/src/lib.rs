@@ -19,7 +19,8 @@
 //! * [`executor`] — executor identities and thread helpers;
 //! * [`sink`] — throughput / end-to-end latency measurement;
 //! * [`metrics`] — the per-transaction time breakdown used by Figures 1 and 9
-//!   (Useful / Sync / Lock / RMA / Others);
+//!   (Useful / Sync / Lock / Others, plus a count of modelled remote
+//!   accesses);
 //! * [`topology`] — a small DAG description used by the examples to mirror the
 //!   Storm-like API of the paper.
 

@@ -1,23 +1,26 @@
 //! Per-transaction time breakdown.
 //!
 //! Figures 1 and 9 of the paper attribute transaction-processing time to five
-//! components.  Every scheme implementation charges its work to these same
-//! buckets so the breakdown harness can compare them directly:
+//! components.  Every scheme implementation charges its work to the same four
+//! timed buckets so the breakdown harness can compare them directly:
 //!
 //! * **Useful** — time spent actually reading / writing state values;
 //! * **Sync** — time blocked waiting to be *allowed* to proceed: spinning on
 //!   lockAhead / partition / `lwm` counters in the prior schemes, or waiting
 //!   on the mode-switching barriers in TStream;
 //! * **Lock** — time spent inserting/acquiring record locks once permitted;
-//! * **RMA** — time spent on (modelled) remote memory accesses: accesses to
-//!   states or operation chains owned by a different synthetic socket;
 //! * **Others** — everything else (index lookup, decomposition bookkeeping,
 //!   context switching, ...).
+//!
+//! The fifth, **RMA** (remote memory access), is not timed: this host is one
+//! memory image, so the NUMA model *counts* the accesses to states or chains
+//! owned by another synthetic socket ([`Breakdown::remote_accesses`]) and
+//! the figures price each one at the paper's measured remote latency gap.
 
 use std::ops::AddAssign;
 use std::time::{Duration, Instant};
 
-/// The five breakdown components.
+/// The four timed breakdown components.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// Actual state access work.
@@ -26,18 +29,15 @@ pub enum Component {
     Sync,
     /// Inserting / acquiring record locks.
     Lock,
-    /// Modelled remote memory access.
-    Rma,
     /// Everything else.
     Others,
 }
 
 impl Component {
     /// All components in presentation order (matches the paper's legend).
-    pub const ALL: [Component; 5] = [
+    pub const ALL: [Component; 4] = [
         Component::Others,
         Component::Sync,
-        Component::Rma,
         Component::Lock,
         Component::Useful,
     ];
@@ -48,13 +48,13 @@ impl Component {
             Component::Useful => "Useful",
             Component::Sync => "Sync",
             Component::Lock => "Lock",
-            Component::Rma => "RMA",
             Component::Others => "Others",
         }
     }
 }
 
-/// Accumulated per-component durations.
+/// Accumulated per-component durations, plus the count of modelled remote
+/// accesses.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Breakdown {
     /// Time spent accessing state values.
@@ -63,10 +63,11 @@ pub struct Breakdown {
     pub sync: Duration,
     /// Time spent inserting locks.
     pub lock: Duration,
-    /// Time spent on modelled remote memory accesses.
-    pub rma: Duration,
     /// Everything else.
     pub others: Duration,
+    /// State accesses and chain inserts the NUMA model counts as remote
+    /// (always 0 with the model off or on a single synthetic socket).
+    pub remote_accesses: u64,
 }
 
 impl Breakdown {
@@ -81,7 +82,6 @@ impl Breakdown {
             Component::Useful => self.useful += d,
             Component::Sync => self.sync += d,
             Component::Lock => self.lock += d,
-            Component::Rma => self.rma += d,
             Component::Others => self.others += d,
         }
     }
@@ -92,14 +92,13 @@ impl Breakdown {
             Component::Useful => self.useful,
             Component::Sync => self.sync,
             Component::Lock => self.lock,
-            Component::Rma => self.rma,
             Component::Others => self.others,
         }
     }
 
-    /// Sum of all components.
+    /// Sum of all timed components.
     pub fn total(&self) -> Duration {
-        self.useful + self.sync + self.lock + self.rma + self.others
+        self.useful + self.sync + self.lock + self.others
     }
 
     /// Fraction (0‥1) of the total attributed to component `c`; 0 when the
@@ -114,7 +113,7 @@ impl Breakdown {
     }
 
     /// Normalised fractions for every component, in [`Component::ALL`] order.
-    pub fn fractions(&self) -> [(Component, f64); 5] {
+    pub fn fractions(&self) -> [(Component, f64); 4] {
         Component::ALL.map(|c| (c, self.fraction(c)))
     }
 }
@@ -124,8 +123,8 @@ impl AddAssign for Breakdown {
         self.useful += rhs.useful;
         self.sync += rhs.sync;
         self.lock += rhs.lock;
-        self.rma += rhs.rma;
         self.others += rhs.others;
+        self.remote_accesses += rhs.remote_accesses;
     }
 }
 
@@ -206,10 +205,10 @@ mod tests {
         a.charge(Component::Lock, Duration::from_millis(5));
         let mut b = Breakdown::new();
         b.charge(Component::Lock, Duration::from_millis(7));
-        b.charge(Component::Rma, Duration::from_millis(3));
+        b.remote_accesses = 3;
         a += b;
         assert_eq!(a.lock, Duration::from_millis(12));
-        assert_eq!(a.rma, Duration::from_millis(3));
+        assert_eq!(a.remote_accesses, 3);
     }
 
     #[test]
@@ -226,7 +225,7 @@ mod tests {
     #[test]
     fn labels_are_stable() {
         assert_eq!(Component::Useful.label(), "Useful");
-        assert_eq!(Component::Rma.label(), "RMA");
-        assert_eq!(Component::ALL.len(), 5);
+        assert_eq!(Component::Others.label(), "Others");
+        assert_eq!(Component::ALL.len(), 4);
     }
 }

@@ -39,9 +39,9 @@ pub struct AccessPlan {
     pub target: ValueMode,
     /// How the dependency state (if any) is read.
     pub dependency: ValueMode,
-    /// Whether the operation is classified remote/local and timed on its
-    /// own (two clock reads).  When false nothing is charged here and the
-    /// caller times a whole chain or batch instead.
+    /// Whether the operation is timed on its own (two clock reads) and
+    /// counted when the NUMA model classifies it remote.  When false nothing
+    /// is charged here and the caller times a whole chain or batch instead.
     pub classify: bool,
 }
 
@@ -104,8 +104,9 @@ pub fn resolve_record<'s>(
 /// On success, any applied write is appended to `undo`.  On failure — the
 /// user function rejected the access, or a state does not exist — nothing was
 /// written and the caller decides how the transaction aborts.  With
-/// `plan.classify`, the state access is charged to *Useful*, or to *RMA* when
-/// the NUMA model classifies a touched record as remote to the executor.
+/// `plan.classify`, the state access is charged to *Useful* and, when the NUMA
+/// model classifies a touched record as remote to the executor, counted in
+/// [`Breakdown::remote_accesses`].
 ///
 /// `#[inline]` because the callers' per-operation loops live in other crates
 /// (chain evaluation, the generic transaction body) and the build has no LTO.
@@ -134,12 +135,7 @@ pub fn execute_operation(
         None => None,
     };
 
-    let remote = plan.classify
-        && (env.is_remote(op.target.key) || op.dependency.is_some_and(|d| env.is_remote(d.key)));
     let t_access = Stopwatch::start_if(plan.classify);
-    if remote {
-        env.remote_penalty();
-    }
     let dep_value = dep_record.map(|r| match plan.dependency {
         ValueMode::Committed => r.read_committed(),
         ValueMode::Versioned => r.read_visible(op.ts),
@@ -177,12 +173,8 @@ pub fn execute_operation(
         }
     });
     if plan.classify {
-        let component = if remote {
-            Component::Rma
-        } else {
-            Component::Useful
-        };
-        breakdown.charge(component, t_access.elapsed());
+        breakdown.charge(Component::Useful, t_access.elapsed());
+        breakdown.remote_accesses += u64::from(env.is_remote_op(op));
     }
     outcome
 }
@@ -353,7 +345,7 @@ mod tests {
         let two_sockets = ExecEnv {
             executor: ExecutorId(0),
             layout: ExecutorLayout::new(20, 10),
-            numa: NumaModel::classify_only(),
+            numa: NumaModel::paper_calibrated(),
         };
         let target_key = (0..10u64)
             .find(|&k| two_sockets.is_remote(k))
@@ -481,20 +473,17 @@ mod tests {
                         }
                     }
 
-                    // Others only for an index lookup, RMA only when
-                    // classified remote, nothing at all when not classified.
+                    // Others only for an index lookup, a remote count only
+                    // when classified remote, nothing at all when not
+                    // classified.
                     let keyed = !resolved || matches!(kind, Kind::MissingKey);
                     let accessed = !matches!(kind, Kind::MissingKey);
                     let charged = |d: Duration| d > Duration::ZERO;
                     assert_eq!(charged(breakdown.others), classify && keyed, "{case}");
+                    assert_eq!(charged(breakdown.useful), classify && accessed, "{case}");
                     assert_eq!(
-                        charged(breakdown.rma),
-                        classify && accessed && remote,
-                        "{case}"
-                    );
-                    assert_eq!(
-                        charged(breakdown.useful),
-                        classify && accessed && !remote,
+                        breakdown.remote_accesses,
+                        u64::from(classify && accessed && remote),
                         "{case}"
                     );
                 }

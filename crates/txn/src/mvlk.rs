@@ -152,23 +152,12 @@ impl EagerScheme for MvlkScheme {
             t.stop(breakdown, Component::Sync);
 
             // Evaluate against timestamp-visible values.
-            let remote =
-                env.is_remote(op.target.key) || op.dependency.is_some_and(|d| env.is_remote(d.key));
             let t_access = ComponentTimer::start();
-            if remote {
-                env.remote_penalty();
-            }
             let current = record.read_visible(op.ts);
             let dep_value = dep_record.map(|r| r.read_visible(op.ts));
             let produced = op.evaluate(&current, dep_value.as_ref());
-            t_access.stop(
-                breakdown,
-                if remote {
-                    Component::Rma
-                } else {
-                    Component::Useful
-                },
-            );
+            t_access.stop(breakdown, Component::Useful);
+            breakdown.remote_accesses += u64::from(env.is_remote_op(op));
             match produced {
                 Ok(value) => planned.push(value),
                 Err(e) => {

@@ -49,34 +49,43 @@ fn more_executors_do_not_change_results() {
 }
 
 #[test]
-fn numa_model_classifies_remote_accesses_without_changing_results() {
-    let spec = WorkloadSpec::default().events(800).seed(7);
+fn numa_model_counts_remote_accesses_without_changing_results() {
+    let spec = WorkloadSpec::default().events(400).seed(7);
     let app = Arc::new(gs::GrepSum::default());
     let payloads = gs::generate(&spec);
 
-    // 12 executors over sockets of 4 cores => 3 synthetic sockets.
-    let base = EngineConfig {
-        executors: 12,
-        punctuation_interval: 200,
-        cores_per_socket: 4,
-        numa: NumaModel::disabled(),
-        ..Default::default()
-    };
-
-    let store_local = gs::build_store(&spec);
-    let report_local =
-        Engine::new(base).run(&app, &store_local, payloads.clone(), &Scheme::TStream);
-    assert_eq!(report_local.breakdown.rma, std::time::Duration::ZERO);
-
-    let mut numa_cfg = base;
-    numa_cfg.numa = NumaModel::classify_only();
-    let store_numa = gs::build_store(&spec);
-    let report_numa = Engine::new(numa_cfg).run(&app, &store_numa, payloads, &Scheme::TStream);
-    assert!(
-        report_numa.breakdown.rma > std::time::Duration::ZERO,
-        "with three synthetic sockets some accesses must be remote"
-    );
-    assert_eq!(store_local.snapshot(), store_numa.snapshot());
+    for kind in SchemeKind::ALL {
+        // No-Lock has no synchronisation, so its concurrent runs are
+        // deterministic only with one event per batch.
+        let punctuation_interval = if kind == SchemeKind::NoLock { 1 } else { 100 };
+        let run = |numa| {
+            // 4 executors over sockets of 2 cores => 2 synthetic sockets.
+            let config = EngineConfig {
+                executors: 4,
+                punctuation_interval,
+                cores_per_socket: 2,
+                numa,
+                ..Default::default()
+            };
+            let store = gs::build_store(&spec);
+            let report = Engine::new(config).run(
+                &app,
+                &store,
+                payloads.clone(),
+                &kind.build(spec.partitions),
+            );
+            (report.breakdown.remote_accesses, store.snapshot())
+        };
+        let (local_count, local) = run(NumaModel::disabled());
+        let (modelled_count, modelled) = run(NumaModel::paper_calibrated());
+        let scheme = kind.label();
+        assert_eq!(local_count, 0, "{scheme}: the model is off");
+        assert!(
+            modelled_count > 0,
+            "{scheme}: with two synthetic sockets some accesses must be remote"
+        );
+        assert_eq!(local, modelled, "{scheme}: the model changed the results");
+    }
 }
 
 #[test]
