@@ -3,17 +3,12 @@
 //! enabled for the shared configurations, beside the modelled
 //! remote-memory-access time of each run.
 
-use tstream_apps::runner::{render_table, run_benchmark, RunOptions};
-use tstream_apps::workload::WorkloadSpec;
+use tstream_apps::runner::render_table;
 use tstream_apps::{AppKind, SchemeKind};
-use tstream_bench::{events_for, modelled_rma, ms, HarnessConfig};
+use tstream_bench::{events_for, modelled_rma, ms, run_on_sockets, HarnessConfig, SOCKETS};
 use tstream_core::{ChainPlacement, EngineConfig, RunReport};
-use tstream_txn::NumaModel;
 
-/// The paper's machine has four sockets; the host's cores are spread over
-/// four synthetic ones, so every host models remote accesses.
-const SOCKETS: usize = 4;
-
+/// TStream on `cores` executors over four synthetic sockets.
 fn run(
     cfg: &HarnessConfig,
     app: AppKind,
@@ -21,19 +16,12 @@ fn run(
     placement: ChainPlacement,
     stealing: bool,
 ) -> RunReport {
-    let events = events_for(app, cores, cfg.quick);
-    let spec = WorkloadSpec::default()
-        .events(events)
-        .partitions(cores as u32);
-    let mut engine = EngineConfig::with_executors(cores)
+    let engine = EngineConfig::with_executors(cores)
         .punctuation(500)
         .placement(placement)
-        .work_stealing(stealing)
-        .numa(NumaModel::paper_calibrated());
-    engine.cores_per_socket = cores.div_ceil(SOCKETS);
-    let mut options = RunOptions::new(spec, engine);
-    options.pat_partitions = cores as u32;
-    run_benchmark(app, SchemeKind::TStream, &options)
+        .work_stealing(stealing);
+    let events = events_for(app, cores, cfg.quick);
+    run_on_sockets(app, SchemeKind::TStream, events, engine)
 }
 
 fn main() {

@@ -101,6 +101,9 @@ pub fn events_for(app: AppKind, cores: usize, quick: bool) -> usize {
     }
 }
 
+/// The paper's machine has four sockets.
+pub const SOCKETS: usize = 4;
+
 /// Run one benchmark point with the paper's default configuration
 /// (punctuation 500, shared-nothing, Zipf skew per Section VI-B).
 pub fn run_point(
@@ -110,14 +113,31 @@ pub fn run_point(
     events: usize,
     punctuation: usize,
 ) -> RunReport {
+    let engine = EngineConfig::with_executors(cores).punctuation(punctuation);
+    run_engine(app, scheme, events, engine)
+}
+
+/// Run one benchmark point under `engine`, its executors spread over
+/// [`SOCKETS`] synthetic sockets so that every host models remote accesses.
+pub fn run_on_sockets(
+    app: AppKind,
+    scheme: SchemeKind,
+    events: usize,
+    mut engine: EngineConfig,
+) -> RunReport {
+    engine.cores_per_socket = engine.executors.div_ceil(SOCKETS);
+    run_engine(app, scheme, events, engine)
+}
+
+/// The paper's workload over one partition per executor, remote accesses
+/// counted.
+fn run_engine(app: AppKind, scheme: SchemeKind, events: usize, engine: EngineConfig) -> RunReport {
+    let partitions = engine.executors as u32;
     let spec = WorkloadSpec::default()
         .events(events)
-        .partitions(cores.max(1) as u32);
-    let engine = EngineConfig::with_executors(cores)
-        .punctuation(punctuation)
-        .numa(NumaModel::paper_calibrated());
-    let mut options = RunOptions::new(spec, engine);
-    options.pat_partitions = cores.max(1) as u32;
+        .partitions(partitions);
+    let mut options = RunOptions::new(spec, engine.numa(NumaModel::paper_calibrated()));
+    options.pat_partitions = partitions;
     run_benchmark(app, scheme, &options)
 }
 

@@ -142,11 +142,14 @@ pub struct RunReport {
     /// Bytes appended to the write-ahead input log during the run (zero for
     /// non-durable runs) — the storage side of the durability tax.
     pub wal_bytes: u64,
-    /// Punctuation batches that took the conflict-free fast path (TStream
-    /// only): batches whose transactions have pairwise-disjoint read/write
-    /// sets skip decomposition, chain construction and restructuring
-    /// entirely and execute eagerly with per-event rollback.
+    /// Punctuation batches that filed nothing (TStream only): every
+    /// transaction was alone in its batch and ran directly, so the batch
+    /// built no chains and paid only its closing barrier round.
     pub fast_path_batches: u64,
+    /// Operations of transactions alone in their batch, run directly and
+    /// never filed (TStream only).  With [`ChainStats::ops`] and
+    /// [`ChainStats::skipped`] it counts every operation exactly once.
+    pub direct_ops: u64,
 }
 
 impl RunReport {
@@ -191,6 +194,7 @@ pub(crate) struct ExecutorState {
     pub(crate) chain_stats: ChainStats,
     pub(crate) checkpoints: u64,
     pub(crate) fast_batches: u64,
+    pub(crate) direct_ops: u64,
 }
 
 /// One punctuation-delimited batch as the engine consumes it: events split
@@ -294,14 +298,14 @@ impl<A: Application> RunContext<A> {
     }
 
     /// Admit one formed batch to execution (on the ingestion side, before
-    /// any executor sees it): classify it, count it, trace it.
+    /// any executor sees it): mark its transactions, count it, trace it.
     ///
-    /// The classification is routing-time conflict detection (TStream
-    /// only): a batch whose read/write sets are pairwise disjoint takes the
-    /// restructuring-free fast path on the executors.
+    /// The marking is routing-time conflict detection (TStream only): a
+    /// transaction alone in its batch runs directly on the executors, and a
+    /// batch of nothing else files nothing (see [`mark_alone`]).
     pub(crate) fn admit(&self, batch: &mut EngineBatch<A::Payload>, scratch: &mut StateIndex) {
         if matches!(self.scheme, Scheme::TStream) {
-            batch.conflict_free = batch_is_conflict_free(&batch.descriptors, scratch);
+            batch.conflict_free = mark_alone(&mut batch.descriptors, scratch);
         }
         self.obs
             .hub()
@@ -361,7 +365,7 @@ impl<A: Application> RunContext<A> {
     /// |---|---|---|
     /// | eager | 2 | register the batch with the scheme; close |
     /// | restructured | 3 | freeze at TXN_START; replay an abort's closure if needed; close |
-    /// | fast | 1 | close |
+    /// | nothing filed | 1 | close |
     pub(crate) fn step(
         &self,
         index: usize,
@@ -382,19 +386,15 @@ impl<A: Application> RunContext<A> {
         let rejected_before = state.rejected;
 
         // ---- Run: the body performs this executor's state accesses.  The
-        // eager and fast bodies finish every event as they go; the
-        // restructured body hands its events back for the tail below.
-        let path = (&self.scheme, batch.conflict_free);
-        let postponed = match path {
-            (Scheme::Eager(scheme), _) => {
+        // eager body finishes every event as it goes; the TStream body
+        // finishes the transactions it ran directly and hands the filed
+        // ones back for the tail below.
+        let postponed = match &self.scheme {
+            Scheme::Eager(scheme) => {
                 self.eager_step(scheme, index, env, batch, state);
                 Vec::new()
             }
-            (Scheme::TStream, true) => {
-                self.tstream_fast_step(index, env, batch, state);
-                Vec::new()
-            }
-            (Scheme::TStream, false) => self.tstream_step(index, env, batch, state),
+            Scheme::TStream => self.tstream_step(index, env, batch, state),
         };
 
         // ---- Close.  A durable session first publishes this executor's
@@ -421,11 +421,11 @@ impl<A: Application> RunContext<A> {
         // a checkpoint of it, and the next restructured batch files into
         // empty pools.
         self.round(index, seq, state, |state| {
-            match path {
+            match &self.scheme {
                 // E.g. MVLK's version garbage collection.
-                (Scheme::Eager(scheme), _) => scheme.end_batch(&self.store),
-                (Scheme::TStream, true) => {}
-                (Scheme::TStream, false) => {
+                Scheme::Eager(scheme) => scheme.end_batch(&self.store),
+                Scheme::TStream if batch.conflict_free => {}
+                Scheme::TStream => {
                     // `clear_all` keeps every buffer: each chain built is recycled.
                     let recycled = self.pools.total_chains() as u64;
                     self.obs.hub().chains_recycled(recycled);
@@ -505,6 +505,7 @@ impl<A: Application> RunContext<A> {
         let mut chain_stats = ChainStats::default();
         let mut checkpoints = 0;
         let mut fast_path_batches = 0;
+        let mut direct_ops = 0;
         let mut sinks = Vec::with_capacity(states.len());
         for s in states {
             breakdown += s.breakdown;
@@ -515,6 +516,7 @@ impl<A: Application> RunContext<A> {
             chain_stats.merge(&s.chain_stats);
             checkpoints += s.checkpoints;
             fast_path_batches += s.fast_batches;
+            direct_ops += s.direct_ops;
             sinks.push(s.sink);
         }
         RunReport {
@@ -542,6 +544,7 @@ impl<A: Application> RunContext<A> {
                 log.wal_bytes()
             }),
             fast_path_batches,
+            direct_ops,
         }
     }
 
@@ -650,7 +653,7 @@ impl<A: Application> RunContext<A> {
 
         let t_batch = clock::now();
         for event in &batch.per_executor[index] {
-            let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
+            let (txn, blotter, _) = resolved_transaction(self.app.as_ref(), batch, event);
             let outcome = scheme.execute(&txn, &self.store, &env, &mut state.breakdown);
             // The blotter carries the outcome from here on (a no-op for the
             // schemes that already marked it; the first reason sticks).
@@ -662,11 +665,18 @@ impl<A: Application> RunContext<A> {
         state.compute_time += t_batch.elapsed();
     }
 
-    /// The body of one restructured batch of TStream's dual-mode scheduling
-    /// on executor `index`: decompose in compute mode, process the operation
-    /// chains in state-access mode, replay serially if a multi-write
-    /// transaction aborted.  Returns this executor's events for
-    /// post-processing after the closing round.
+    /// The body of one batch of TStream's dual-mode scheduling on executor
+    /// `index`: in compute mode, run each transaction alone in its batch
+    /// (see [`mark_alone`]) directly and decompose the others; then process
+    /// the operation chains in state-access mode, replaying serially if a
+    /// multi-write transaction aborted.  Returns this executor's filed
+    /// events for post-processing after the closing round.
+    ///
+    /// A lone transaction commutes with the rest of its batch, so running it
+    /// on the committed state is conflict-equivalent to the timestamp order;
+    /// no closure replay reaches it, as no filed operation targets or reads
+    /// its states.  A batch of lone transactions skips both state-access
+    /// rounds.
     fn tstream_step<'b>(
         &self,
         index: usize,
@@ -675,20 +685,36 @@ impl<A: Application> RunContext<A> {
         state: &mut ExecutorState,
     ) -> Postponed<'b, A::Payload> {
         let seq = batch.punctuation.seq;
-        let assignment = self.pools.assignment(env.executor);
 
-        // ---- Compute mode: pre-process events, decompose and postpone
-        // their transactions, cache the events for post-processing.  The
-        // pools are empty: the previous batch's closing action cleared them
-        // before releasing anyone.
+        // ---- Compute mode: pre-process events, run the lone transactions,
+        // decompose and postpone the others, cache their events for
+        // post-processing.  The pools are empty: the previous batch's
+        // closing action cleared them before releasing anyone.
         // Remote chain insertions only exist when the NUMA model is on *and*
         // the layout spans several sockets; only then are they counted.
         let classify_remote = env.numa.enabled && self.layout.sockets() > 1;
         let t_compute = clock::now();
+        let mut direct = Duration::ZERO;
         let my_events = &batch.per_executor[index];
         let mut cached: Postponed<'b, A::Payload> = Vec::with_capacity(my_events.len());
         for event in my_events {
-            let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
+            let (txn, blotter, alone) = resolved_transaction(self.app.as_ref(), batch, event);
+            if alone {
+                let t_access = clock::now();
+                // An `Err` marks the blotter aborted and rolls back this
+                // transaction's own writes.
+                let _ = execute_transaction_body(
+                    &txn.ops,
+                    &self.store,
+                    &env,
+                    ValueMode::Committed,
+                    &mut state.breakdown,
+                );
+                direct += t_access.elapsed();
+                state.direct_ops += txn.ops.len() as u64;
+                self.finish_event(batch, event, &blotter, state);
+                continue;
+            }
             // Dynamic transaction decomposition (Section IV-C.1): one chain
             // insert per operation.
             for op in txn.ops {
@@ -699,7 +725,16 @@ impl<A: Application> RunContext<A> {
             }
             cached.push((event, blotter));
         }
-        state.compute_time += t_compute.elapsed();
+        state.access_time += direct;
+        state.compute_time += t_compute.elapsed().saturating_sub(direct);
+        if batch.conflict_free {
+            if index == 0 {
+                state.fast_batches += 1;
+                self.obs.hub().fast_path_batch();
+                self.obs.trace_exec(index, seq, TraceKind::FastPath);
+            }
+            return cached;
+        }
 
         // ---- TXN_START: first barrier — all executors must have finished
         // registering their postponed transactions before state access
@@ -726,6 +761,7 @@ impl<A: Application> RunContext<A> {
 
         // ---- State-access mode: process the operation chains in parallel.
         let t_access = clock::now();
+        let assignment = self.pools.assignment(env.executor);
         let ctx = RestructureContext {
             pools: &self.pools,
             store: &self.store,
@@ -783,53 +819,6 @@ impl<A: Application> RunContext<A> {
             restructure::collapse_versioned(&self.store, &versioned);
         }
         cached
-    }
-
-    /// The body of one conflict-free batch (taken when ingestion classified
-    /// the batch's transactions as pairwise disjoint, see
-    /// [`batch_is_conflict_free`]): no decomposition, no chains, no
-    /// restructuring, no versioning, and no barrier before the batch's one
-    /// closing round.  Each executor runs its own events to completion with
-    /// per-event rollback — with disjoint read/write sets every interleaving
-    /// within the batch is conflict-equivalent to the timestamp order, so
-    /// this produces exactly the schedule dynamic restructuring would.
-    /// Across batches the closing round keeps the order: it releases no
-    /// executor into the next batch before every write of this one landed.
-    fn tstream_fast_step(
-        &self,
-        index: usize,
-        env: ExecEnv,
-        batch: &EngineBatch<A::Payload>,
-        state: &mut ExecutorState,
-    ) {
-        if index == 0 {
-            state.fast_batches += 1;
-            self.obs.hub().fast_path_batch();
-            self.obs
-                .trace_exec(index, batch.punctuation.seq, TraceKind::FastPath);
-        }
-        let mut access = Duration::ZERO;
-        let t_batch = clock::now();
-        for event in &batch.per_executor[index] {
-            let (txn, blotter) = resolved_transaction(self.app.as_ref(), batch, event);
-            if !txn.ops.is_empty() {
-                let t_access = clock::now();
-                // An `Err` marks the blotter aborted and rolls back this
-                // event's own writes; disjointness keeps it from touching
-                // anything another event read or wrote.
-                let _ = execute_transaction_body(
-                    &txn.ops,
-                    &self.store,
-                    &env,
-                    ValueMode::Committed,
-                    &mut state.breakdown,
-                );
-                access += t_access.elapsed();
-            }
-            self.finish_event(batch, event, &blotter, state);
-        }
-        state.access_time += access;
-        state.compute_time += t_batch.elapsed().saturating_sub(access);
     }
 }
 
@@ -1074,6 +1063,7 @@ impl Engine {
                         ts: event.ts,
                         rw_set,
                         slots,
+                        alone: false,
                     },
                 )
             }),
@@ -1081,79 +1071,120 @@ impl Engine {
     }
 }
 
-/// Routing-time conflict classification: `true` when no state is touched by
-/// two different transactions of the batch (strict pairwise disjointness of
-/// the determined read/write sets).  Such a batch needs no ordering machinery
-/// at all — any execution order is conflict-equivalent to the timestamp
-/// order — so [`Scheme::TStream`] skips dynamic restructuring for it
-/// entirely.  Derived from the routing descriptors alone (feature **F2**:
-/// read/write sets are determined before any state is accessed), so the
-/// classification happens on the ingestion thread, off the executors.
+/// Routing-time admission: mark `alone` each transaction whose determined
+/// read/write set (feature **F2**) shares no state with another transaction
+/// of the batch, and return whether all are (`false` for an empty batch).
+/// Runs on the ingestion thread, off the executors.
 ///
-/// Single pass over the batch's read/write-set entries against a recycled
-/// scratch index from each touched state to the transaction touching it:
-/// O(ops) total, no per-descriptor sorting or allocation.
-///
-/// The index compares state hashes only: two *distinct* states colliding on
-/// their hash are (very rarely) misread as the same state, which reports a
-/// conflict that is not there — the batch then merely takes the general
-/// restructuring path, which is always correct.  A real conflict can never
-/// be missed, because equal states always hash equal.
-fn batch_is_conflict_free(descriptors: &[TxnDescriptor], scratch: &mut StateIndex) -> bool {
+/// Single pass over the read/write-set entries against a recycled scratch
+/// index from each touched state to the first transaction touching it: a
+/// later transaction finding a state claimed clears its own flag and the
+/// claimant's.  Only hashes are compared, so a (rare) collision of distinct
+/// states counts as shared — both are merely filed, which is always correct.
+fn mark_alone(descriptors: &mut [TxnDescriptor], scratch: &mut StateIndex) -> bool {
     let touched: usize = descriptors.iter().map(|d| d.rw_set.len()).sum();
     scratch.reset(touched);
-    for (txn, descriptor) in descriptors.iter().enumerate() {
-        for (state, _) in descriptor.rw_set.iter() {
-            // The same transaction touching a state again (read + write of
-            // one key) is fine; another transaction's claim is a conflict.
+    let mut all_alone = !descriptors.is_empty();
+    for txn in 0..descriptors.len() {
+        let (earlier, rest) = descriptors.split_at_mut(txn);
+        let mut alone = true;
+        for (state, _) in rest[0].rw_set.iter() {
             let owner = scratch.find_or_insert(*state, txn as u32, |_| true);
-            if owner.is_some_and(|owner| owner != txn as u32) {
-                return false;
+            if let Some(owner) = owner.filter(|&owner| owner != txn as u32) {
+                earlier[owner as usize].alone = false;
+                alone = false;
             }
         }
+        rest[0].alone = alone;
+        all_alone &= alone;
     }
-    !descriptors.is_empty()
+    all_alone
 }
 
-/// Build the state transaction for one event (pre-process + state access).
-fn build_transaction<A: Application>(
-    app: &A,
-    ts: u64,
-    payload: &A::Payload,
-) -> (StateTransaction, BlotterHandle) {
-    let mut builder = TxnBuilder::new(ts);
-    if app.pre_process(payload) {
-        app.state_access(payload, &mut builder);
-    }
-    builder.build()
-}
-
-/// Build the state transaction for one event and stamp each operation with
-/// the record slots the router resolved at ingestion time (carried by the
-/// batch's descriptors).  Timestamps are dense within a batch, so the
-/// descriptor of an event is found by offset in O(1); a binary search over
-/// the ts-sorted descriptors covers any non-dense tail without assuming
-/// density for correctness.
+/// Build the state transaction for one event (pre-process + state access)
+/// and stamp each operation with the record slots the router resolved at
+/// ingestion time (carried by the batch's descriptors), beside whether
+/// admission marked it alone in its batch.  Timestamps are dense within a
+/// batch, so the descriptor of an event is found by offset in O(1); a binary
+/// search over the ts-sorted descriptors covers any non-dense tail without
+/// assuming density for correctness.
 fn resolved_transaction<A: Application>(
     app: &A,
     batch: &EngineBatch<A::Payload>,
     event: &Event<A::Payload>,
-) -> (StateTransaction, BlotterHandle) {
-    let (mut txn, blotter) = build_transaction(app, event.ts, &event.payload);
+) -> (StateTransaction, BlotterHandle, bool) {
+    let mut builder = TxnBuilder::new(event.ts);
+    if app.pre_process(&event.payload) {
+        app.state_access(&event.payload, &mut builder);
+    }
+    let (mut txn, blotter) = builder.build();
     let descriptors = &batch.descriptors;
     let first_ts = batch.punctuation.ts.wrapping_sub(descriptors.len() as u64);
     let idx = event.ts.wrapping_sub(first_ts) as usize;
-    let descriptor = match descriptors.get(idx) {
-        Some(d) if d.ts == event.ts => Some(d),
-        _ => descriptors
-            .binary_search_by_key(&event.ts, |d| d.ts)
-            .ok()
-            .map(|i| &descriptors[i]),
+    let found = match descriptors.get(idx) {
+        Some(d) if d.ts == event.ts => Some(idx),
+        _ => descriptors.binary_search_by_key(&event.ts, |d| d.ts).ok(),
     };
-    if let Some(descriptor) = descriptor {
-        if !descriptor.slots.is_empty() {
-            txn.resolve_slots(|state| descriptor.slot_for(state));
-        }
+    let Some(descriptor) = found.map(|i| &descriptors[i]) else {
+        return (txn, blotter, false);
+    };
+    if !descriptor.slots.is_empty() {
+        txn.resolve_slots(|state| descriptor.slot_for(state));
     }
-    (txn, blotter)
+    (txn, blotter, descriptor.alone)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use tstream_stream::operator::{ReadWriteSet, StateRef};
+
+    fn descriptor(ts: u64, rw_set: ReadWriteSet) -> TxnDescriptor {
+        TxnDescriptor::unresolved(ts, rw_set)
+    }
+
+    fn flags(descriptors: &[TxnDescriptor]) -> Vec<bool> {
+        descriptors.iter().map(|d| d.alone).collect()
+    }
+
+    #[test]
+    fn mark_alone_clears_both_sharers_and_keeps_the_rest() {
+        let mut scratch = StateIndex::default();
+        let mut batch = vec![
+            descriptor(0, ReadWriteSet::new().write(StateRef::new(0, 1))),
+            descriptor(1, ReadWriteSet::new().write(StateRef::new(0, 2))),
+            descriptor(2, ReadWriteSet::new().read(StateRef::new(0, 1))),
+        ];
+        assert!(!mark_alone(&mut batch, &mut scratch));
+        assert_eq!(flags(&batch), [false, true, false]);
+    }
+
+    #[test]
+    fn mark_alone_keeps_a_transaction_that_reads_and_writes_one_state() {
+        let mut scratch = StateIndex::default();
+        let state = StateRef::new(1, 7);
+        let mut batch = vec![
+            descriptor(0, ReadWriteSet::new().read(state).write(state)),
+            descriptor(1, ReadWriteSet::new().write(StateRef::new(1, 8))),
+        ];
+        assert!(mark_alone(&mut batch, &mut scratch));
+        assert_eq!(flags(&batch), [true, true]);
+    }
+
+    #[test]
+    fn mark_alone_reports_disjoint_and_empty_batches() {
+        let mut scratch = StateIndex::default();
+        // Equal keys in different tables are different states.
+        let mut disjoint: Vec<_> = (0..100u64)
+            .map(|i| {
+                descriptor(
+                    i,
+                    ReadWriteSet::new().write(StateRef::new(i as u32 % 2, i / 2)),
+                )
+            })
+            .collect();
+        assert!(mark_alone(&mut disjoint, &mut scratch));
+        assert!(disjoint.iter().all(|d| d.alone));
+        assert!(!mark_alone(&mut [], &mut scratch));
+    }
 }

@@ -39,7 +39,7 @@ pub enum TraceKind {
     },
     /// An executor picked the batch up for execution.
     BatchInjected,
-    /// The batch was conflict-free and took the fast path.
+    /// The batch filed nothing: every transaction ran directly.
     FastPath,
     /// The leader decomposed the batch into operation chains.
     Restructured {

@@ -224,7 +224,7 @@ impl MetricsHub {
         }
     }
 
-    /// A conflict-free batch took the restructure-free fast path.
+    /// A batch filed nothing: every transaction ran directly.
     #[inline]
     pub fn fast_path_batch(&self) {
         if self.enabled {

@@ -37,10 +37,10 @@ pub struct SourceBatch<P, D> {
     /// not sample their latency.  Sticky per batch: a mixed tail batch
     /// (replayed events followed by live ones) is marked replayed as a whole.
     pub replayed: bool,
-    /// Whether the consumer determined the batch's transactions to be
-    /// pairwise conflict-free (disjoint read/write sets).  `false` until the
-    /// consumer classifies the batch — the builder itself never inspects
-    /// descriptors.
+    /// Whether the consumer found every transaction of the batch alone in
+    /// it (pairwise disjoint read/write sets), so that nothing is filed.
+    /// `false` until the consumer classifies the batch — the builder itself
+    /// never inspects descriptors.
     pub conflict_free: bool,
 }
 

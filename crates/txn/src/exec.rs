@@ -4,10 +4,9 @@
 //! resolve the target record, read the current (or timestamp-visible) value,
 //! run the user function, apply the write, log it for undo — and they all
 //! charge that work to the same breakdown components.  [`execute_operation`]
-//! is the only place that work happens: the eager bodies, TStream's
-//! conflict-free fast path, its chain evaluation and its serial replay all
-//! run it, so whether a transaction commits can never depend on which of them
-//! executed it.  The schemes stay focused on *synchronisation*, which is what
+//! is the only place that work happens: the eager bodies, TStream's direct
+//! runs, its chain evaluation and its serial replay all run it, so whether a
+//! transaction commits can never depend on which of them executed it.  The schemes stay focused on *synchronisation*, which is what
 //! the paper compares.
 
 use tstream_obs::clock::Stopwatch;
@@ -196,8 +195,8 @@ pub fn undo_all(store: &StateStore, undo: &mut Vec<UndoEntry>) {
 /// the first failure.
 ///
 /// This is the body shared by the eager schemes once their synchronisation
-/// has admitted the transaction, by TStream's conflict-free fast path, and by
-/// its serial replay.
+/// has admitted the transaction, by TStream's direct runs of transactions
+/// alone in their batch, and by its serial replay.
 pub fn execute_transaction_body<'a>(
     ops: impl IntoIterator<Item = &'a Operation>,
     store: &StateStore,

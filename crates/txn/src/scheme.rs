@@ -26,6 +26,9 @@ pub struct TxnDescriptor {
     /// router could not resolve; empty when the batch was built without a
     /// store (slot resolution is an optimization, never a requirement).
     pub slots: Vec<u32>,
+    /// Set at admission when no other transaction of the batch touches a
+    /// state of this one: TStream then runs it directly instead of filing it.
+    pub alone: bool,
 }
 
 impl TxnDescriptor {
@@ -35,6 +38,7 @@ impl TxnDescriptor {
             ts,
             rw_set,
             slots: Vec::new(),
+            alone: false,
         }
     }
 

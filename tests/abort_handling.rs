@@ -266,6 +266,63 @@ fn missing_key_in_a_multi_write_transaction_rejects_identically_on_every_path() 
 }
 
 #[test]
+fn lone_and_filed_aborts_in_one_batch_match_serial_execution() {
+    // One batch mixes transactions alone in it, which TStream runs directly,
+    // with filed ones whose multi-write abort triggers the closure replay.
+    // The replay must neither reach nor disturb the direct runs: store and
+    // outcomes equal serial No-Lock.
+    let alter = |items: Vec<u64>, prices: Vec<i64>| ob::ObEvent::Alter { items, prices };
+    let events = vec![
+        // Alone, aborts at its second write after applying its first.
+        alter(vec![40, 41, 42], vec![300, -1, 302]),
+        // Filed: shares items 0 and 2 below, aborts after applying item 0.
+        alter(vec![0, 1, 2], vec![210, -1, 212]),
+        // Alone, commits.
+        alter(vec![50, 51], vec![310, 311]),
+        // Filed, reads the aborted write's items: re-executed by the replay.
+        alter(vec![0, 3], vec![220, 221]),
+        ob::ObEvent::Bid {
+            item: 2,
+            price: 1_000,
+            qty: 1,
+        },
+        // Alone, commits after the filed abort.
+        ob::ObEvent::Top {
+            items: vec![60],
+            amounts: vec![5],
+        },
+    ];
+    let app = Arc::new(ob::OnlineBidding);
+    for shards in [1u32, 4] {
+        let spec = WorkloadSpec::default().keys(64).seed(80).shards(shards);
+        let run = |executors: usize, scheme: &Scheme| {
+            let store = ob::build_store(&spec);
+            let engine = Engine::new(
+                EngineConfig::with_executors(executors)
+                    .punctuation(events.len())
+                    .shards(shards as usize),
+            );
+            let report = engine.run(&app, &store, events.clone(), scheme);
+            let replays = engine.metrics_snapshot().exec_serial_replays;
+            (report, replays, StoreSnapshot::capture(&store))
+        };
+        let (reference, _, reference_snapshot) = run(1, &SchemeKind::NoLock.build(1));
+        assert_eq!((reference.committed, reference.rejected), (4, 2));
+
+        for executors in [1usize, 2] {
+            let (report, replays, snapshot) = run(executors, &Scheme::TStream);
+            let ctx = format!("{executors} executors, {shards} shards");
+            assert_eq!(report.direct_ops, 3 + 2 + 1, "direct runs: {ctx}");
+            assert_eq!(report.fast_path_batches, 0, "{ctx}");
+            assert_eq!(replays, 1, "closure replays: {ctx}");
+            assert_eq!(report.committed, reference.committed, "committed: {ctx}");
+            assert_eq!(report.rejected, reference.rejected, "rejected: {ctx}");
+            assert_eq!(snapshot, reference_snapshot, "snapshot: {ctx}");
+        }
+    }
+}
+
+#[test]
 fn aborted_transaction_does_not_block_later_transactions_on_the_same_keys() {
     // A rejected Alter is followed by a valid Alter touching the same items;
     // the later transaction must commit and its values must be the final

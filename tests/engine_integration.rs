@@ -2,12 +2,15 @@
 //! punctuation intervals, NUMA-aware placements, breakdown accounting and
 //! report plumbing, exercised through the public API only.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use tstream_apps::workload::WorkloadSpec;
-use tstream_apps::{gs, runner, tp, AppKind, RunOptions, SchemeKind};
+use tstream_apps::{gs, runner, sl, tp, AppKind, RunOptions, SchemeKind};
 use tstream_core::{ChainPlacement, Engine, EngineConfig, Scheme};
-use tstream_txn::NumaModel;
+use tstream_state::StateStore;
+use tstream_stream::operator::StateRef;
+use tstream_txn::{Application, NumaModel, TxnBuilder};
 
 #[test]
 fn punctuation_interval_controls_batch_count_not_results() {
@@ -115,7 +118,8 @@ fn all_chain_placements_process_every_operation() {
     let spec = WorkloadSpec::default().events(700).seed(9);
     let app = Arc::new(gs::GrepSum::default());
     let payloads = gs::generate(&spec);
-    // 700 GS events × transaction length 10 = 7000 operations.
+    // 700 GS events × transaction length 10 = 7000 operations, each either
+    // run directly (its transaction is alone in its batch) or filed.
     for placement in ChainPlacement::ALL {
         for stealing in [false, true] {
             let store = gs::build_store(&spec);
@@ -127,12 +131,71 @@ fn all_chain_placements_process_every_operation() {
             );
             let report = engine.run(&app, &store, payloads.clone(), &Scheme::TStream);
             assert_eq!(
-                report.chain_stats.ops + report.chain_stats.skipped,
+                report.chain_stats.ops as u64
+                    + report.chain_stats.skipped as u64
+                    + report.direct_ops,
                 7_000,
                 "placement {placement:?} stealing {stealing}"
             );
         }
     }
+}
+
+/// Run `payloads` as one TStream batch and return the share of its
+/// transactions that share no state with another, recounted here from the
+/// read/write sets; the engine must have run exactly their operations
+/// directly.
+fn lone_share_of_one_batch<A: Application>(
+    app: A,
+    store: &Arc<StateStore>,
+    payloads: Vec<A::Payload>,
+) -> f64 {
+    let sets: Vec<HashSet<StateRef>> = payloads
+        .iter()
+        .map(|p| app.read_write_set(p).iter().map(|(s, _)| *s).collect())
+        .collect();
+    let mut touches: HashMap<StateRef, usize> = HashMap::new();
+    for &state in sets.iter().flatten() {
+        *touches.entry(state).or_default() += 1;
+    }
+    let (mut alone, mut alone_ops) = (0, 0);
+    for (ts, (payload, set)) in payloads.iter().zip(&sets).enumerate() {
+        if set.iter().all(|s| touches[s] == 1) {
+            alone += 1;
+            let mut builder = TxnBuilder::new(ts as u64);
+            if app.pre_process(payload) {
+                app.state_access(payload, &mut builder);
+            }
+            alone_ops += builder.build().0.ops.len() as u64;
+        }
+    }
+    let events = payloads.len();
+    let engine = Engine::new(EngineConfig::with_executors(1).punctuation(events));
+    let report = engine.run(&Arc::new(app), store, payloads, &Scheme::TStream);
+    assert_eq!(report.direct_ops, alone_ops);
+    alone as f64 / events as f64
+}
+
+#[test]
+fn lone_transaction_share_at_fixed_seed() {
+    // One 500-event batch at the generator settings of the SL workloads and
+    // of sparse GS (1 op over 500k uniform keys).  Measured over 100k
+    // events the shares are 0.55 and 0.999.
+    let spec = WorkloadSpec::default().events(500).seed(101);
+    let share = lone_share_of_one_batch(
+        sl::StreamingLedger,
+        &sl::build_store(&spec),
+        sl::generate(&spec),
+    );
+    assert!((0.50..=0.60).contains(&share), "SL share {share}");
+
+    let spec = spec.keys(500_000).skew(0.0).read_ratio(0.5).txn_len(1);
+    let share = lone_share_of_one_batch(
+        gs::GrepSum::default(),
+        &gs::build_store(&spec),
+        gs::generate(&spec),
+    );
+    assert!(share >= 0.98, "sparse GS share {share}");
 }
 
 #[test]
