@@ -1,10 +1,10 @@
 //! Uniform benchmark runner.
 //!
-//! The figure harnesses in `tstream-bench` sweep (application × scheme ×
-//! cores × workload knobs).  Applications have different payload types, so
+//! The experiments of the `tstream-bench` driver sweep (application × scheme
+//! × cores × workload knobs).  Applications have different payload types, so
 //! this module provides the small amount of dynamic dispatch needed to drive
 //! any combination through one function, plus table-formatting helpers shared
-//! by every harness.
+//! by every experiment.
 
 use std::path::Path;
 use std::sync::Arc;
@@ -67,7 +67,7 @@ impl SchemeKind {
 
     /// The classic order-unaware concurrency controls discussed (and
     /// dismissed) in Section II-C; compared by the `sec2c_order_unaware`
-    /// harness, never by the paper's main figures.
+    /// experiment, never by the paper's main figures.
     pub const ORDER_UNAWARE: [SchemeKind; 2] = [SchemeKind::To, SchemeKind::Occ];
 
     /// Display label matching the paper.

@@ -35,7 +35,7 @@ use tstream_state::StateStore;
 use tstream_stream::metrics::{Breakdown, Component, ComponentTimer};
 use tstream_stream::operator::StateRef;
 
-use crate::exec::{resolve_record, undo_all, UndoEntry};
+use crate::exec::{execute_operation, undo_all, AccessPlan, ValueMode};
 use crate::outcome::TxnOutcome;
 use crate::scheme::{EagerScheme, ExecEnv, TxnDescriptor};
 use crate::transaction::StateTransaction;
@@ -142,6 +142,7 @@ impl ToScheme {
         txn: &StateTransaction,
         ts: Timestamp,
         store: &StateStore,
+        env: &ExecEnv,
         breakdown: &mut Breakdown,
     ) -> Result<(), ToFailure> {
         let mut undo = Vec::with_capacity(txn.ops.len());
@@ -175,42 +176,17 @@ impl ToScheme {
             }
 
             // ---- Apply the operation against the committed value.
-            let t = ComponentTimer::start();
-            let record = match resolve_record(store, op.target, op.slot, None) {
-                Ok(r) => r,
-                Err(e) => {
-                    t.stop(breakdown, Component::Others);
-                    undo_all(store, &mut undo);
-                    return Err(ToFailure::App(e.to_string()));
-                }
-            };
-            let dep_value = op.dependency.and_then(|dep| {
-                resolve_record(store, dep, op.dep_slot, None)
-                    .ok()
-                    .map(|r| r.read_committed())
-            });
-            let current = record.read_committed();
-            match op.evaluate(&current, dep_value.as_ref()) {
-                Ok(Some(new_value)) => {
-                    let previous = record.write_committed(new_value);
-                    undo.push(UndoEntry {
-                        target: op.target,
-                        slot: op.slot,
-                        ts: op.ts,
-                        previous,
-                        versioned: false,
-                    });
-                }
-                Ok(None) => {}
-                Err(e) => {
-                    // Consistency violation: the transaction aborts for
-                    // application reasons, independent of the T/O checks.
-                    t.stop(breakdown, Component::Useful);
-                    undo_all(store, &mut undo);
-                    return Err(ToFailure::App(e.to_string()));
-                }
+            if let Err(e) = execute_operation(
+                op,
+                store,
+                env,
+                AccessPlan::eager(ValueMode::Committed),
+                breakdown,
+                &mut undo,
+            ) {
+                undo_all(store, &mut undo);
+                return Err(ToFailure::App(e.to_string()));
             }
-            t.stop(breakdown, Component::Useful);
         }
         Ok(())
     }
@@ -230,10 +206,10 @@ impl EagerScheme for ToScheme {
         &self,
         txn: &StateTransaction,
         store: &StateStore,
-        _env: &ExecEnv,
+        env: &ExecEnv,
         breakdown: &mut Breakdown,
     ) -> TxnOutcome {
-        match self.try_execute(txn, txn.ts, store, breakdown) {
+        match self.try_execute(txn, txn.ts, store, env, breakdown) {
             Ok(()) => TxnOutcome::Committed,
             Err(ToFailure::App(reason)) => {
                 self.rejections.fetch_add(1, Ordering::Relaxed);
@@ -253,7 +229,7 @@ impl EagerScheme for ToScheme {
                     // logical position.
                     loop {
                         let fresh = self.restamp_clock.fetch_add(1, Ordering::Relaxed);
-                        match self.try_execute(txn, fresh, store, breakdown) {
+                        match self.try_execute(txn, fresh, store, env, breakdown) {
                             Ok(()) => {
                                 self.order_violations.fetch_add(1, Ordering::Relaxed);
                                 return TxnOutcome::Committed;
@@ -387,6 +363,35 @@ mod tests {
             store.record(TableId(0), 0).unwrap().read_committed(),
             Value::Long(0)
         );
+    }
+
+    #[test]
+    fn missing_dependency_rejects_the_transaction_as_under_no_lock() {
+        let store = store(1);
+        let env = ExecEnv::single();
+        let mut breakdown = Breakdown::new();
+        let txn = || {
+            let mut b = TxnBuilder::new(1);
+            b.read_modify(0, 0, Some(StateRef::new(0, 99)), |_ctx| Ok(Value::Long(7)));
+            b.build().0
+        };
+        let nolock = crate::nolock::NoLockScheme::new();
+        assert!(nolock
+            .execute(&txn(), &store, &env, &mut breakdown)
+            .is_aborted());
+        for policy in [ToPolicy::Reject, ToPolicy::Restamp] {
+            let scheme = ToScheme::new(policy);
+            let txn = txn();
+            assert!(scheme
+                .execute(&txn, &store, &env, &mut breakdown)
+                .is_aborted());
+            assert!(txn.blotter.is_aborted());
+            assert_eq!(scheme.rejections(), 1);
+            assert_eq!(
+                store.record(TableId(0), 0).unwrap().read_committed(),
+                Value::Long(0)
+            );
+        }
     }
 
     #[test]
